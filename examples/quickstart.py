@@ -11,25 +11,17 @@ Run:
 """
 
 from repro import (
-    A100_80GB,
     AZURE_CODE,
-    ExecutionModel,
-    LLAMA3_8B,
     PoissonArrivals,
-    QoServeScheduler,
-    ReplicaEngine,
-    Simulator,
+    ServeConfig,
+    Session,
     TierAssigner,
     TraceBuilder,
-    summarize_run,
 )
 
 
 def main() -> None:
-    # 1. The deployment: Llama3-8B on a single A100 (Table 1, row 1).
-    execution_model = ExecutionModel(LLAMA3_8B, A100_80GB)
-
-    # 2. The workload: Azure Code lengths, Poisson arrivals at 3 QPS,
+    # 1. The workload: Azure Code lengths, Poisson arrivals at 3 QPS,
     #    requests split equally across Q1/Q2/Q3 (Table 3).
     trace = TraceBuilder(
         AZURE_CODE,
@@ -38,24 +30,24 @@ def main() -> None:
         seed=7,
     ).build(500)
 
-    # 3. The scheduler: full QoServe — hybrid prioritization, dynamic
-    #    chunking with the trained random-forest predictor, eager
-    #    relegation, selective preemption.
-    scheduler = QoServeScheduler(execution_model)
+    # 2. The serving stack: full QoServe — hybrid prioritization,
+    #    dynamic chunking with the trained random-forest predictor,
+    #    eager relegation, selective preemption — on one simulated
+    #    Llama3-8B / A100 replica (Table 1, row 1).
+    session = Session(ServeConfig(deployment="llama3-8b",
+                                  scheduler="qoserve"))
 
-    # 4. Simulate one replica to completion.
-    simulator = Simulator()
-    engine = ReplicaEngine(simulator, execution_model, scheduler)
+    # 3. Simulate to completion.
     for request in trace:
-        engine.submit(request)
-    simulator.run()
+        session.submit(request)
+    session.drain()
 
-    # 5. Report.
-    summary = summarize_run(engine.submitted, now=simulator.now)
+    # 4. Report.
+    summary = session.summary()
     print(f"requests: {summary.num_requests}  "
           f"finished: {summary.finished}")
-    print(f"simulated span: {simulator.now:.0f}s, "
-          f"iterations: {engine.iterations_run}")
+    print(f"simulated span: {session.now:.0f}s, "
+          f"iterations: {session.engine.iterations_run}")
     print()
     print("governing latency per tier (p50 / p99 seconds):")
     for tier in ("Q1", "Q2", "Q3"):

@@ -8,7 +8,9 @@ composes:
 * Workloads — :class:`TraceBuilder`, dataset presets, arrival
   processes, QoS tiers.
 * Engine — :class:`ReplicaEngine` running a scheduler over the
-  analytical :class:`ExecutionModel`.
+  analytical :class:`ExecutionModel`; every serving stack runs its
+  struct-of-arrays subclass (``repro.engine.arrays``), and the object
+  loop stays as the bit-identical reference oracle.
 * Schedulers — the QoServe policy and the classic baselines.
 * Clusters — shared/siloed/disaggregated deployments and capacity
   planning.
@@ -20,19 +22,15 @@ composes:
 Quickstart::
 
     from repro import (
-        ExecutionModel, LLAMA3_8B, A100_80GB, Simulator,
-        ReplicaEngine, QoServeScheduler, TraceBuilder,
-        AZURE_CODE, PoissonArrivals, summarize_run,
+        AZURE_CODE, PoissonArrivals, ServeConfig, Session, TraceBuilder,
     )
 
-    em = ExecutionModel(LLAMA3_8B, A100_80GB)
     trace = TraceBuilder(AZURE_CODE, PoissonArrivals(3.0)).build(500)
-    sim = Simulator()
-    engine = ReplicaEngine(sim, em, QoServeScheduler(em))
+    session = Session(ServeConfig(scheduler="qoserve"))
     for request in trace:
-        engine.submit(request)
-    sim.run()
-    print(summarize_run(engine.submitted, now=sim.now).violations)
+        session.submit(request)
+    session.drain()
+    print(session.summary().violations)
 """
 
 from repro.simcore import Simulator, RngStreams

@@ -38,6 +38,7 @@ from typing import Callable, Iterable, Mapping
 
 from repro.core.qos import DEFAULT_TIERS, QoSSpec
 from repro.core.request import Request
+from repro.engine import arrays
 from repro.engine.interface import Scheduler
 from repro.engine.replica import ReplicaConfig, ReplicaEngine
 from repro.metrics.summary import RunSummary, summarize_run
@@ -75,27 +76,6 @@ ROUTING_STRATEGIES = (
 
 #: Autoscaling policies a fleet-backed :class:`ServeConfig` accepts.
 FLEET_AUTOSCALERS = ("off", "busy-fraction", "burn-rate")
-
-#: Engine cores a :class:`ServeConfig` can pick: ``"objects"`` is the
-#: reference per-request implementation
-#: (:class:`~repro.engine.replica.ReplicaEngine`), ``"arrays"`` the
-#: struct-of-arrays drop-in
-#: (:class:`~repro.engine.arrays.ArrayReplicaEngine`) — bit-identical
-#: results, vectorized iteration loop (see docs/PERFORMANCE.md).
-ENGINE_KINDS = ("objects", "arrays")
-
-
-def resolve_engine_cls(engine: str) -> type[ReplicaEngine]:
-    """Map an :data:`ENGINE_KINDS` name to its engine class."""
-    if engine == "objects":
-        return ReplicaEngine
-    if engine == "arrays":
-        from repro.engine.arrays import ArrayReplicaEngine
-
-        return ArrayReplicaEngine
-    raise ValueError(
-        f"unknown engine {engine!r}; options: {ENGINE_KINDS}"
-    )
 
 #: Scheduler identifiers accepted by :func:`make_scheduler`.  The
 #: "sarathi-" prefix used in the paper's figures maps to the bare
@@ -262,8 +242,9 @@ class ServeConfig:
         qoserve_config: Optional QoServe scheduler overrides.
         scheduler_kwargs: Extra keyword arguments forwarded to the
             scheduler constructor.
-        num_replicas: 1 builds a bare :class:`ReplicaEngine`; more
-            builds a :class:`ClusterDeployment` behind a router.
+        num_replicas: 1 builds a bare replica engine; more builds a
+            :class:`ClusterDeployment` behind a router.  Every replica
+            runs :class:`~repro.engine.arrays.ArrayReplicaEngine`.
         routing: Cluster load-balancing strategy (multi-replica only).
         fleet: Heterogeneous elastic pool description
             (:class:`repro.cluster.fleet.FleetConfig`); when set the
@@ -280,10 +261,6 @@ class ServeConfig:
         audit: Attribute per-request latency to named phases
             (:mod:`repro.obs.audit`); lands in ``summary.attribution``.
         max_events: Safety valve on simulator events per run.
-        engine: Engine core, one of :data:`ENGINE_KINDS`:
-            ``"objects"`` (reference per-request loop) or ``"arrays"``
-            (struct-of-arrays loop; bit-identical traces and metrics,
-            several times faster on decode-heavy workloads).
         kv_reuse: Cross-request KV prefix reuse, one of
             :data:`~repro.engine.replica.ReplicaConfig.KV_REUSE_KINDS`:
             ``"off"`` (every request prefills from scratch —
@@ -306,15 +283,9 @@ class ServeConfig:
     record_iterations: bool = False
     audit: bool = False
     max_events: int = 50_000_000
-    engine: str = "objects"
     kv_reuse: str = "off"
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINE_KINDS:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; "
-                f"options: {ENGINE_KINDS}"
-            )
         key = self.scheduler.lower().removeprefix("sarathi-")
         if key not in SCHEDULER_KINDS:
             raise ValueError(
@@ -415,7 +386,6 @@ class Session:
             record_iterations=config.record_iterations,
             kv_reuse=config.kv_reuse,
         )
-        engine_cls = resolve_engine_cls(config.engine)
         self.deployment = None
         self.fleet = None
         if config.fleet is not None:
@@ -432,12 +402,11 @@ class Session:
                 fault_plan=config.fault_plan,
                 autoscaler=self._fleet_autoscaler(),
                 observer=observer,
-                engine_cls=engine_cls,
             )
             self.engine = None
         elif config.num_replicas == 1:
             built = scheduler if scheduler is not None else self._scheduler()
-            self.engine: ReplicaEngine | None = engine_cls(
+            self.engine: ReplicaEngine | None = arrays.build_replica(
                 self.simulator,
                 self.execution_model,
                 built,
@@ -456,7 +425,6 @@ class Session:
                 simulator=self.simulator,
                 routing=config.routing,
                 observer=observer,
-                engine_cls=engine_cls,
             )
             self.engine = None
 
@@ -558,7 +526,7 @@ class Session:
         """Withdraw an unfinished request from whichever replica holds
         it.  Returns True if a replica had it resident."""
         for engine in self.engines:
-            resident = request in engine.decode_queue or any(
+            resident = engine.is_decoding(request) or any(
                 r.request_id == request.request_id
                 for r in engine.scheduler.pending_requests()
             )

@@ -340,9 +340,9 @@ def _engine_e2e_benchmark(quick: bool) -> dict[str, Any]:
         best = {key: math.inf for key in engines}
         completed = {}
         for _ in range(reps + 1):  # first interleaved pass is warm-up
-            for key, engine_cls in engines.items():
+            for key, engine_type in engines.items():
                 simulator = Simulator()
-                engine = engine_cls(
+                engine = engine_type(
                     simulator,
                     execution_model,
                     make_scheduler("qoserve", execution_model),

@@ -445,12 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
              "repro.api.SCHEDULER_KINDS)",
     )
     serve_parser.add_argument(
-        "--engine", default="objects", choices=("objects", "arrays"),
-        help="engine core: the reference per-request loop or the "
-             "struct-of-arrays loop (bit-identical results; see "
-             "docs/PERFORMANCE.md; default: objects)",
-    )
-    serve_parser.add_argument(
         "--kv-reuse", default="off", choices=("off", "radix"),
         help="cross-request KV prefix reuse: 'radix' skips prefill "
              "for prompt prefixes already resident in the KV cache "
@@ -817,7 +811,6 @@ def _serve_command(args) -> int:
             session = Session(ServeConfig(
                 deployment=args.deployment,
                 scheduler=args.scheduler,
-                engine=args.engine,
                 kv_reuse=args.kv_reuse,
                 chunk_size=args.chunk_size,
                 num_replicas=args.num_replicas,

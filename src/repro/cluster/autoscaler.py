@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.request import Request
+from repro.engine import arrays
 from repro.engine.replica import ReplicaConfig, ReplicaEngine
 from repro.metrics.summary import RunSummary, summarize_run
 from repro.perfmodel.execution import ExecutionModel
@@ -101,7 +102,7 @@ class AutoscalingDeployment:
     # --- pool management --------------------------------------------------
 
     def _add_replica(self) -> None:
-        engine = ReplicaEngine(
+        engine = arrays.build_replica(
             self.simulator,
             self.execution_model,
             self.scheduler_factory(),

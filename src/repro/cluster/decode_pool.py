@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.core.request import Request
+from repro.engine import arrays
 from repro.engine.replica import ReplicaConfig, ReplicaEngine
 from repro.perfmodel.execution import ExecutionModel
 from repro.schedulers.classic import FCFSScheduler
@@ -76,7 +77,7 @@ class _DecodeReplicaGroup:
         self.simulator = simulator
         self.execution_model = execution_model
         self.replicas = [
-            ReplicaEngine(
+            arrays.build_replica(
                 simulator,
                 execution_model,
                 FCFSScheduler(),  # never used: no prefill work arrives

@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.request import Request
+from repro.engine import arrays
 from repro.engine.interface import Scheduler
 from repro.engine.replica import ReplicaConfig, ReplicaEngine
 from repro.metrics.summary import RunSummary, summarize_run
@@ -69,7 +70,6 @@ class ClusterDeployment:
         routing: str = "round-robin",
         observer=None,
         execution_models: Sequence[ExecutionModel] | None = None,
-        engine_cls: type[ReplicaEngine] | None = None,
     ) -> None:
         if num_replicas < 1:
             raise ValueError("num_replicas must be >= 1")
@@ -90,11 +90,8 @@ class ClusterDeployment:
         self.simulator = simulator or Simulator()
         self.execution_model = execution_model
         self.routing = routing
-        #: Engine implementation every replica (including ones
-        #: provisioned later by elastic subclasses) is built from.
-        self.engine_cls = engine_cls or ReplicaEngine
         self.replicas = [
-            self.engine_cls(
+            arrays.build_replica(
                 self.simulator,
                 per_replica[i],
                 scheduler_factory(),

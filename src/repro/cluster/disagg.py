@@ -15,8 +15,8 @@ a large 8K chunk budget since no colocated decodes constrain them.
 from __future__ import annotations
 
 from repro.core.request import Request
-from repro.engine.interface import Scheduler
-from repro.engine.replica import ReplicaConfig, ReplicaEngine
+from repro.engine import arrays
+from repro.engine.replica import ReplicaConfig
 from repro.metrics.summary import RunSummary, summarize_run
 from repro.perfmodel.execution import ExecutionModel
 from repro.simcore.simulator import Simulator
@@ -73,7 +73,7 @@ class DisaggregatedDeployment:
             prefill_only=True,
         )
         self.replicas = [
-            ReplicaEngine(
+            arrays.build_replica(
                 self.simulator,
                 execution_model,
                 scheduler_factory(),

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from repro.cluster.deployment import SchedulerFactory, _chain
 from repro.cluster.resilient import ResilientClusterDeployment
 from repro.core.request import Request
+from repro.engine import arrays
 from repro.engine.replica import ReplicaConfig, ReplicaEngine
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import ResilienceConfig
@@ -345,7 +346,6 @@ class FleetDeployment(ResilientClusterDeployment):
         burn_window: float = 60.0,
         slo_budget: float = 0.01,
         observer=None,
-        engine_cls: type[ReplicaEngine] | None = None,
     ) -> None:
         self.fleet = fleet
         self.autoscaler = autoscaler
@@ -367,7 +367,6 @@ class FleetDeployment(ResilientClusterDeployment):
                 for c in initial_classes
             ],
             observer=observer,
-            engine_cls=engine_cls,
         )
         self.replica_config = replica_config or ReplicaConfig()
         now = self.simulator.now
@@ -721,7 +720,7 @@ class FleetDeployment(ResilientClusterDeployment):
     def _replica_ready(self) -> None:
         cls = self._pending.pop(0)
         now = self.simulator.now
-        engine = self.engine_cls(
+        engine = arrays.build_replica(
             self.simulator,
             ExecutionModel(
                 self.execution_model.model,

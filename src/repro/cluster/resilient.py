@@ -58,7 +58,6 @@ class ResilientClusterDeployment(ClusterDeployment):
         resilience: ResilienceConfig | None = None,
         execution_models: list[ExecutionModel] | None = None,
         observer=None,
-        engine_cls: type[ReplicaEngine] | None = None,
     ) -> None:
         super().__init__(
             execution_model,
@@ -69,7 +68,6 @@ class ResilientClusterDeployment(ClusterDeployment):
             routing=routing,
             execution_models=execution_models,
             observer=observer,
-            engine_cls=engine_cls,
         )
         if fault_plan is None:
             fault_plan = get_default_fault_plan() or FaultPlan()

@@ -24,9 +24,13 @@ class RequestPhase(enum.Enum):
     FINISHED = "finished"  # all output tokens produced
 
 
-@dataclass
+@dataclass(eq=False)
 class Request:
     """One LLM inference request with QoS metadata and runtime state.
+
+    Requests compare and hash by identity (``eq=False``): each object
+    is one request in flight, so decode-batch membership tests are
+    pointer compares and requests can key sets and dicts.
 
     Static trace attributes:
         request_id: Unique identifier within a trace.

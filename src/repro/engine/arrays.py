@@ -1,4 +1,4 @@
-"""Struct-of-arrays engine core (ROADMAP item 1).
+"""Struct-of-arrays engine core: the engine every serving stack runs.
 
 :class:`ArrayReplicaEngine` re-implements the hot paths of
 :class:`~repro.engine.replica.ReplicaEngine` over flat NumPy arrays:
@@ -41,10 +41,11 @@ Two operating modes are picked automatically:
   reference order, so traces are byte-identical — while the array
   machinery (ledger, rows) still carries the state.
 
-The object path is still required for: PD-disaggregation decode pools
-and the autoscaler's transient replicas (not threaded through the
-engine switch), and any scheduler whose planning mutates per-request
-state mid-view (none in-tree).
+Every serving stack builds its replicas through :func:`build_replica`,
+so this is the production engine; the object engine survives only as
+the reference oracle the parity tests compare against.  A scheduler
+whose planning mutated per-request state mid-view would break the
+fast mode's lazy decode list (none in-tree does).
 """
 
 from __future__ import annotations
@@ -621,6 +622,10 @@ class ArrayReplicaEngine(ReplicaEngine):
 
     def has_work(self) -> bool:
         return self._rows.n > 0 or self.scheduler.has_pending_prefill()
+
+    def is_decoding(self, request: Request) -> bool:
+        i = self._rows.index.get(request.request_id)
+        return i is not None and self._rows.req[i] is request
 
     def _sync_rows(self) -> None:
         if not self._rows_dirty:
@@ -1612,3 +1617,14 @@ class ArrayReplicaEngine(ReplicaEngine):
             )
 
         return predict
+
+
+def build_replica(*args, **kwargs) -> ReplicaEngine:
+    """Build one serving replica (arguments as :class:`ReplicaEngine`).
+
+    :class:`~repro.api.Session` and every cluster kind construct their
+    replicas here, always on :class:`ArrayReplicaEngine`.  No option
+    selects the object :class:`ReplicaEngine`; parity tests swap the
+    reference oracle in by monkeypatching this one function.
+    """
+    return ArrayReplicaEngine(*args, **kwargs)

@@ -305,6 +305,10 @@ class ReplicaEngine:
     def has_work(self) -> bool:
         return bool(self.decode_queue) or self.scheduler.has_pending_prefill()
 
+    def is_decoding(self, request: Request) -> bool:
+        """Whether ``request`` sits in this replica's decode batch."""
+        return request in self.decode_queue
+
     # --- iteration loop ----------------------------------------------------
 
     def _maybe_start(self) -> None:

@@ -49,10 +49,9 @@ def _run_once(
     base: list[Request],
     scheduler: str,
     kv_reuse: str,
-    engine: str,
 ) -> dict:
     session = Session(ServeConfig(
-        scheduler=scheduler, kv_reuse=kv_reuse, engine=engine,
+        scheduler=scheduler, kv_reuse=kv_reuse,
     ))
     requests = [r.clone_fresh() for r in base]
     for request in requests:
@@ -87,7 +86,6 @@ def run(
     deployment: str = "llama3-8b",
     schedulers: tuple[str, ...] = DEFAULT_SCHEDULERS,
     loads: tuple[float, ...] = DEFAULT_LOADS,
-    engine: str = "objects",
 ) -> ExperimentResult:
     """Sweep kv_reuse x load x scheduler over agent/RAG sessions."""
     num_sessions = max(10, scale.num_requests // 6)
@@ -97,7 +95,7 @@ def run(
         notes=[
             f"{num_sessions} sessions, AGENT_PROFILE (shared "
             f"{AGENT_PROFILE.shared_prefix_tokens}-token system "
-            f"prompt), deployment={deployment}, engine={engine}",
+            f"prompt), deployment={deployment}",
             "each off/radix pair replays identical arrivals",
         ],
     )
@@ -109,8 +107,8 @@ def run(
             ).build(num_sessions)
         )
         for scheduler in schedulers:
-            off = _run_once(base, scheduler, "off", engine)
-            radix = _run_once(base, scheduler, "radix", engine)
+            off = _run_once(base, scheduler, "off")
+            radix = _run_once(base, scheduler, "radix")
             lookups = radix["hits"] + radix["misses"]
             hit_rate = radix["hits"] / lookups if lookups else 0.0
             token_rate = (

@@ -2,14 +2,40 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.core.predictor import OracleBatchPredictor, cached_forest_predictor
 from repro.core.qos import Q1_INTERACTIVE, Q2_RELAXED, Q3_BATCH
 from repro.core.request import Request
+from repro.engine import arrays
+from repro.engine.arrays import ArrayReplicaEngine
+from repro.engine.replica import ReplicaEngine
 from repro.perfmodel import A100_80GB, LLAMA3_8B, ExecutionModel
 from repro.simcore import Simulator
+
+
+#: Engine cores the parity tests compare, by name: the reference
+#: oracle and the production array engine.
+ENGINE_CORES = {"objects": ReplicaEngine, "arrays": ArrayReplicaEngine}
+
+
+@contextmanager
+def engine_core(kind: str):
+    """Build every serving replica inside the block on ``kind``.
+
+    ``"arrays"`` runs the production seam untouched; ``"objects"``
+    swaps the reference :class:`ReplicaEngine` in at that one
+    construction seam, :func:`repro.engine.arrays.build_replica`.
+    """
+    if ENGINE_CORES[kind] is ArrayReplicaEngine:
+        yield
+        return
+    with mock.patch.object(arrays, "build_replica", ENGINE_CORES[kind]):
+        yield
 
 
 @pytest.fixture(scope="session")

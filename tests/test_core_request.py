@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.request import RequestPhase
+from repro.core.request import Request, RequestPhase
 from tests.conftest import Q1, Q2, make_request
 
 
@@ -155,3 +155,29 @@ class TestEviction:
         assert clone.first_token_time is None
         assert not clone.relegated
         assert clone.prompt_tokens == 40
+
+
+class TestIdentityEquality:
+    """Requests compare by identity: engines test decode-batch
+    membership once per decoded token, so a field-by-field ``__eq__``
+    would put a dataclass comparison in the decode loop's inner scan."""
+
+    def test_equal_field_clones_compare_unequal(self):
+        r = make_request(prompt_tokens=40, decode_tokens=3)
+        first, second = r.clone_fresh(), r.clone_fresh()
+        assert first.__dict__ == second.__dict__
+        assert first != second
+        assert first == first
+        assert first not in [second]
+
+    def test_hashable_and_usable_in_a_set(self):
+        r = make_request()
+        clone = r.clone_fresh()
+        members = {r, clone, r}
+        assert len(members) == 2
+        assert r in members and clone in members
+        assert hash(r) == hash(r)
+
+    def test_eq_is_object_identity(self):
+        assert Request.__eq__ is object.__eq__
+        assert Request.__hash__ is object.__hash__

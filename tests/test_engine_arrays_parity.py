@@ -1,10 +1,12 @@
-"""Bit-identical parity: the array engine vs the reference engine.
+"""Bit-identical parity: the array engine vs the reference oracle.
 
-:class:`~repro.engine.arrays.ArrayReplicaEngine` is a pure performance
-play — same decisions, same floats, same event stream as the
-object-based :class:`~repro.engine.replica.ReplicaEngine` reference
-path.  These tests pin that claim at every layer the array engine
-reimplements:
+:class:`~repro.engine.arrays.ArrayReplicaEngine` is the engine every
+serving stack runs; the object-based
+:class:`~repro.engine.replica.ReplicaEngine` survives as the reference
+oracle it must match — same decisions, same floats, same event
+stream.  These tests pin that claim at every layer the array engine
+reimplements (``tests/test_engine_stack_parity.py`` repeats it through
+every cluster kind):
 
 * fast-mode run summaries (no observer — the vectorized kernels,
   decode-stretch fast-forward and version-stamped advance paths);
@@ -34,8 +36,9 @@ from repro.obs.trace import ListSink, TraceRecorder
 from repro.perfmodel.execution import BatchShape, PrefillChunk
 from repro.simcore import Simulator
 from repro.workload.datasets import AZURE_CODE, AZURE_CONV
+from tests.conftest import ENGINE_CORES, engine_core
 
-ENGINES = (ReplicaEngine, ArrayReplicaEngine)
+ENGINES = tuple(ENGINE_CORES.values())
 
 
 def clone(requests):
@@ -228,14 +231,14 @@ class TestFaultParity:
             ),
         ))
         summaries, prints = [], []
-        for engine_cls in ENGINES:
-            cluster = ResilientClusterDeployment(
-                execution_model,
-                scheduler_factory("qoserve", execution_model),
-                num_replicas=2,
-                fault_plan=plan,
-                engine_cls=engine_cls,
-            )
+        for kind in ENGINE_CORES:
+            with engine_core(kind):
+                cluster = ResilientClusterDeployment(
+                    execution_model,
+                    scheduler_factory("qoserve", execution_model),
+                    num_replicas=2,
+                    fault_plan=plan,
+                )
             requests = clone(trace.requests)
             for r in requests:
                 cluster.submit(r)
@@ -423,33 +426,78 @@ class TestFlatBatchTime:
 
 
 class TestEngineSwitch:
-    """ServeConfig/Session threading of the engine choice."""
-
-    def test_resolve(self):
-        from repro.api import resolve_engine_cls
-
-        assert resolve_engine_cls("objects") is ReplicaEngine
-        assert resolve_engine_cls("arrays") is ArrayReplicaEngine
-        with pytest.raises(ValueError, match="unknown engine"):
-            resolve_engine_cls("turbo")
+    """The engine switch is gone: every serving stack builds the array
+    engine, and only the test seam reaches the reference oracle."""
 
     def test_serve_config_validation(self):
         from repro.api import ServeConfig
 
-        with pytest.raises(ValueError, match="unknown engine"):
-            ServeConfig(engine="turbo")
+        with pytest.raises(TypeError, match="engine"):
+            ServeConfig(engine="objects")
 
-    def test_session_builds_chosen_engine(self):
+    def test_session_builds_array_engine(self):
         from repro.api import ServeConfig, Session
 
-        single = Session(ServeConfig(engine="arrays"))
+        single = Session(ServeConfig())
         assert type(single.engine) is ArrayReplicaEngine
-        pool = Session(ServeConfig(engine="arrays", num_replicas=3))
-        assert all(
-            type(e) is ArrayReplicaEngine for e in pool.engines
+        pool = Session(ServeConfig(num_replicas=3))
+        assert [type(e) for e in pool.engines] == [ArrayReplicaEngine] * 3
+        with engine_core("objects"):
+            oracle = Session(ServeConfig())
+        assert type(oracle.engine) is ReplicaEngine
+
+    def test_every_cluster_kind_builds_array_engine(self, execution_model):
+        from repro.cluster import (
+            ClusterDeployment,
+            DisaggregatedDeployment,
+            SiloedDeployment,
+            SiloSpec,
         )
-        default = Session(ServeConfig())
-        assert type(default.engine) is ReplicaEngine
+        from repro.cluster.autoscaler import AutoscalingDeployment
+        from repro.cluster.fleet import FleetDeployment, parse_fleet_spec
+        from repro.cluster.resilient import ResilientClusterDeployment
+        from repro.experiments.ext_qos_decode import make_pool
+        from repro.experiments.runner import scheduler_factory
+
+        factory = scheduler_factory("fcfs", execution_model)
+        replicas = [
+            *ClusterDeployment(execution_model, factory, 2).replicas,
+            *(
+                r
+                for pool in SiloedDeployment(
+                    execution_model,
+                    [SiloSpec(("Q1",), 1, factory),
+                     SiloSpec(("Q2", "Q3"), 1, factory)],
+                ).pools
+                for r in pool.replicas
+            ),
+            *ResilientClusterDeployment(
+                execution_model, factory, 2
+            ).replicas,
+            *FleetDeployment(
+                execution_model, factory, parse_fleet_spec("a100:2,h100:1")
+            ).replicas,
+            *DisaggregatedDeployment(execution_model, factory).replicas,
+            *(
+                slot.engine
+                for slot in AutoscalingDeployment(
+                    execution_model, factory
+                )._slots
+            ),
+        ]
+        for mode in ("strict-shared", "qos-shared"):
+            replicas += make_pool(
+                mode, Simulator(), execution_model, 2
+            ).group.replicas
+        replicas += [
+            r
+            for group in make_pool(
+                "partitioned", Simulator(), execution_model, 2
+            ).groups.values()
+            for r in group.replicas
+        ]
+        assert len(replicas) == 17
+        assert {type(r) for r in replicas} == {ArrayReplicaEngine}
 
     def test_session_summary_parity(self):
         import json
@@ -458,12 +506,11 @@ class TestEngineSwitch:
         from repro.metrics.export import summary_to_dict
 
         rendered = []
-        for engine in ("arrays", "objects"):
-            session = Session(
-                ServeConfig(
-                    engine=engine, scheduler="qoserve", num_replicas=2
+        for kind in ENGINE_CORES:
+            with engine_core(kind):
+                session = Session(
+                    ServeConfig(scheduler="qoserve", num_replicas=2)
                 )
-            )
             trace = build_trace(
                 "AzConv", qps=1.0, num_requests=40, seed=7
             ).scaled_arrivals(3.0)

@@ -19,7 +19,7 @@ import pytest
 from repro.api import ServeConfig, Session, build_trace
 from repro.core.request import Request
 from repro.engine import ReplicaConfig, ReplicaEngine
-from repro.engine.arrays import ArrayKVLedger, ArrayReplicaEngine
+from repro.engine.arrays import ArrayKVLedger
 from repro.engine.interface import KVLedger
 from repro.engine.kvcache import KVCacheManager
 from repro.engine.prefix import RadixPrefixCache
@@ -33,11 +33,9 @@ from repro.workload.sessions import (
     SessionWorkload,
     session_turn_index,
 )
-from tests.conftest import Q2, make_request
+from tests.conftest import ENGINE_CORES, Q2, engine_core, make_request
 
 BS = 16
-
-ENGINES = {"objects": ReplicaEngine, "arrays": ArrayReplicaEngine}
 
 
 def ids(n, base=0):
@@ -285,7 +283,7 @@ def _tree_invariants(engine):
     )
 
 
-@pytest.mark.parametrize("engine_kind", sorted(ENGINES))
+@pytest.mark.parametrize("engine_kind", sorted(ENGINE_CORES))
 @pytest.mark.parametrize("seed", [3, 17])
 def test_refcounts_never_leak_property(engine_kind, seed):
     """Random admit/relegate/evict/crash/cancel interleavings: the
@@ -294,7 +292,7 @@ def test_refcounts_never_leak_property(engine_kind, seed):
     # Tiny KV so eviction, stall relegation and reclaim all fire.
     execution_model._kv_capacity_tokens = 8 * 1024
     sim = Simulator()
-    engine = ENGINES[engine_kind](
+    engine = ENGINE_CORES[engine_kind](
         sim, execution_model, FCFSScheduler(chunk_size=256),
         ReplicaConfig(kv_reuse="radix"),
     )
@@ -388,10 +386,11 @@ def _event_checksum(events) -> str:
 def _run_off_mode(requests, scheduler, engine):
     sink = ListSink()
     observer = TracingObserver(TraceRecorder([sink]))
-    session = Session(
-        ServeConfig(scheduler=scheduler, engine=engine, kv_reuse="off"),
-        observer=observer,
-    )
+    with engine_core(engine):
+        session = Session(
+            ServeConfig(scheduler=scheduler, kv_reuse="off"),
+            observer=observer,
+        )
     for request in requests:
         session.submit(request.clone_fresh())
     session.drain()
@@ -414,7 +413,7 @@ class TestOffModeByteIdentity:
     @pytest.mark.parametrize("workload", ["azure", "sessions"])
     def test_matches_pre_pr_trace(self, workloads, workload, scheduler):
         expected = PRE_PR_CHECKSUMS[(workload, scheduler)]
-        for engine in sorted(ENGINES):
+        for engine in sorted(ENGINE_CORES):
             events = _run_off_mode(
                 workloads[workload], scheduler, engine
             )
@@ -430,10 +429,11 @@ class TestPrefixReuseEndToEnd:
             AGENT_PROFILE, session_qps=0.5, seed=7
         ).build(15))
         stats = {}
-        for engine in sorted(ENGINES):
-            session = Session(ServeConfig(
-                scheduler="qoserve", engine=engine, kv_reuse="radix"
-            ))
+        for engine in sorted(ENGINE_CORES):
+            with engine_core(engine):
+                session = Session(ServeConfig(
+                    scheduler="qoserve", kv_reuse="radix"
+                ))
             requests = [r.clone_fresh() for r in trace]
             for request in requests:
                 session.submit(request)

@@ -23,19 +23,23 @@ from repro.obs import (
     render_diff_terminal,
 )
 from repro.obs.diff import ATTRIBUTION_TOL
+from tests.conftest import ENGINE_CORES, engine_core
 
 SCHEDULERS = ("qoserve", "medha", "fcfs", "edf")
-ENGINES = ("objects", "arrays")
 
 
-def capture_events(scheduler, engine="objects", qps=3.0,
+def capture_events(scheduler, engine="arrays", qps=3.0,
                    num_requests=40, seed=7, dataset="AzCode"):
-    """Run one traced simulation, return its serialized events."""
+    """Run one traced simulation, return its serialized events.
+
+    ``engine`` picks the core (see :func:`tests.conftest.engine_core`).
+    """
     sink = ListSink()
-    session = Session(
-        ServeConfig(scheduler=scheduler, engine=engine),
-        observer=TracingObserver(TraceRecorder([sink])),
-    )
+    with engine_core(engine):
+        session = Session(
+            ServeConfig(scheduler=scheduler),
+            observer=TracingObserver(TraceRecorder([sink])),
+        )
     trace = build_trace(
         dataset, qps=1.0, num_requests=num_requests, seed=seed
     ).scaled_arrivals(qps)
@@ -59,7 +63,7 @@ class TestSelfDiffDeterminism:
     """Satellite: self-diff is empty for every scheduler and engine."""
 
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_CORES)
     def test_self_diff_is_empty(self, scheduler, engine):
         first = capture_events(scheduler, engine=engine,
                                num_requests=25)

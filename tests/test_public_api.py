@@ -24,26 +24,19 @@ class TestPublicApi:
     def test_quickstart_docstring_flow(self):
         """The module docstring's quickstart must actually run."""
         from repro import (
-            A100_80GB,
             AZURE_CODE,
-            ExecutionModel,
-            LLAMA3_8B,
             PoissonArrivals,
-            QoServeScheduler,
-            ReplicaEngine,
-            Simulator,
+            ServeConfig,
+            Session,
             TraceBuilder,
-            summarize_run,
         )
 
-        em = ExecutionModel(LLAMA3_8B, A100_80GB)
         trace = TraceBuilder(AZURE_CODE, PoissonArrivals(3.0)).build(30)
-        sim = Simulator()
-        engine = ReplicaEngine(sim, em, QoServeScheduler(em))
+        session = Session(ServeConfig(scheduler="qoserve"))
         for request in trace:
-            engine.submit(request)
-        sim.run()
-        summary = summarize_run(engine.submitted, now=sim.now)
+            session.submit(request)
+        session.drain()
+        summary = session.summary()
         assert summary.finished == 30
 
     def test_scheduler_names_unique(self):
