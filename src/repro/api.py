@@ -526,11 +526,7 @@ class Session:
         """Withdraw an unfinished request from whichever replica holds
         it.  Returns True if a replica had it resident."""
         for engine in self.engines:
-            resident = engine.is_decoding(request) or any(
-                r.request_id == request.request_id
-                for r in engine.scheduler.pending_requests()
-            )
-            if resident:
+            if engine.holds(request):
                 return engine.cancel_request(request, reason)
         return False
 

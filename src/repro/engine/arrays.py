@@ -28,24 +28,22 @@ engineered, not hoped for:
   path replays the reference algorithm exactly, including its
   eviction ordering.
 
-Two operating modes are picked automatically:
-
-* **fast** (observer is the no-op ``NULL_OBSERVER``): scheduler
-  planning for :class:`~repro.schedulers.qoserve.QoServeScheduler`
-  runs through vectorized kernels (latency budget, memoized forest
-  lookups) that bypass the view/plan object construction entirely;
-  other schedulers fall back to the ``Scheduler`` protocol with a
-  lazy decode-request list.
-* **observed** (tracing/metrics attached): the engine builds the real
-  ``EngineView``/``BatchPlan`` and emits every observer hook in the
-  reference order, so traces are byte-identical — while the array
-  machinery (ledger, rows) still carries the state.
+One iteration loop serves traced and untraced runs alike.  Observer
+hooks fire from it in the reference order (a no-op call each when
+nothing is attached), so traces stay byte-identical while the
+vectorized advance and the QoServe planning kernels (latency budget,
+memoized forest lookups, no view/plan construction) run either way;
+other schedulers plan through the ``Scheduler`` protocol with a lazy
+decode-request list.  The one difference a trace makes is the decode
+stretch (:meth:`ArrayReplicaEngine._decode_stretch`): it merges
+several iterations into one advance, a trace records one event per
+iteration, so it only runs with no observer attached.
 
 Every serving stack builds its replicas through :func:`build_replica`,
 so this is the production engine; the object engine survives only as
 the reference oracle the parity tests compare against.  A scheduler
 whose planning mutated per-request state mid-view would break the
-fast mode's lazy decode list (none in-tree does).
+lazy decode list (none in-tree does).
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.request import Request
-from repro.engine.batch import BatchPlan, IterationRecord, PrefillAssignment
+from repro.engine.batch import IterationRecord, PrefillAssignment
 from repro.engine.interface import EngineView, Scheduler
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.perfmodel.execution import BatchShape, ExecutionModel, PrefillChunk
@@ -94,7 +92,8 @@ class _RowStore:
         #: start is still exactly rows [0, n) and skip the per-row
         #: epoch filter.
         self.version = 0
-        #: Row-aligned request objects (synced lazily in fast mode).
+        #: Row-aligned request objects; their progress fields lag the
+        #: columns until ``ArrayReplicaEngine._sync_rows``.
         self.req: list[Request] = []
         #: request_id -> row index.
         self.index: dict[int, int] = {}
@@ -579,15 +578,9 @@ class ArrayReplicaEngine(ReplicaEngine):
         #: batch is provably rows [0, n) and the advance kernels skip
         #: the epoch filter / id lookups.
         self._stamp_version = -1
-        #: Fast mode: no tracing attached, so observer hooks (all
-        #: no-ops) and the view/plan objects that feed them can be
-        #: skipped entirely.
-        self._fast = self.observer is NULL_OBSERVER
         from repro.schedulers.qoserve import QoServeScheduler
 
-        self._qoserve_fast = self._fast and isinstance(
-            scheduler, QoServeScheduler
-        )
+        self._qoserve_fast = isinstance(scheduler, QoServeScheduler)
         self._forest_predictor = None
         if self._qoserve_fast:
             from repro.core.predictor import ForestBatchPredictor
@@ -642,15 +635,12 @@ class ArrayReplicaEngine(ReplicaEngine):
     # --- iteration loop ---------------------------------------------------
 
     def _start_iteration(self) -> None:
-        if self._fast:
-            self._start_iteration_fast()
-        else:
-            self._start_iteration_observed()
-
-    def _start_iteration_fast(self) -> None:
         now = self.simulator.now
+        observer = self.observer
+        # The stretch merges iterations; a trace records each one.
         if (
             self._rows.n > 0
+            and observer is NULL_OBSERVER
             and self.token_hook is None
             and not self.config.record_iterations
             and not self._inflight_prefills
@@ -694,11 +684,20 @@ class ArrayReplicaEngine(ReplicaEngine):
                 self._inflight_prefills.add(request_id)
                 if request.scheduled_first_time is None:
                     request.scheduled_first_time = now
+                    observer.on_span_end(
+                        "queue", request, now, self.replica_id
+                    )
+                    observer.on_span_start(
+                        "prefill", request, now, self.replica_id
+                    )
                 if (
                     request.relegated
                     and request_id not in self._relegation_served_ids
                 ):
                     self._relegation_served_ids.add(request_id)
+                    observer.on_relegation_served(
+                        self.replica_id, request, now, tokens
+                    )
                 prefill_tokens += tokens
         else:
             chunks = ()
@@ -711,18 +710,23 @@ class ArrayReplicaEngine(ReplicaEngine):
         self.busy_time += exec_time
         if prefill_tokens > 0:
             self.chunk_tokens_hist[prefill_tokens] += 1
+        observer.on_iteration_start(
+            self.replica_id, now, exec_time, self.iterations_run,
+            assignments, n_live, decode_context_total,
+            queue_depth=self.scheduler.queue_length(),
+        )
         seq = self._batch_seq = self._batch_seq + 1
         rows.epoch[:n_live] = seq
         self._stamp_version = rows.version
         self._inflight_event = self.simulator.schedule_after(
             exec_time,
-            lambda: self._finish_iteration_fast(
+            lambda: self._finish_iteration(
                 assignments, n_live, decode_context_total,
                 prefill_tokens, exec_time, now, seq,
             ),
         )
 
-    def _finish_iteration_fast(
+    def _finish_iteration(
         self,
         assignments: list[PrefillAssignment],
         num_decodes: int,
@@ -761,20 +765,23 @@ class ArrayReplicaEngine(ReplicaEngine):
             request.prefill_done += assignment.tokens
             if request.remaining_prefill == 0:
                 self._on_prefill_finished(request, now)
+        self.observer.on_iteration_end(self.replica_id, now, self.kv_cache)
         self._busy = False
         self._maybe_start()
 
     def _decode_stretch(self, now: float) -> float:
         """Collapse a run of pure-decode iterations into one advance.
 
-        Preconditions (checked by the caller): fast mode, no token
-        hook, no iteration recording, no pending or in-flight prefill
-        work.  Finds the longest run of ``k >= 2`` future iterations
-        that provably (a) complete no request, (b) fit their KV
-        growth without eviction, and (c) finish strictly before the
-        next simulator event and within the driver's run bound — then
-        applies the ``k`` per-token advances as closed-form vector
-        updates and fast-forwards the clock to the last finish time.
+        Preconditions (checked by the caller): no observer attached
+        (a trace records one event per iteration, so traced runs step
+        every iteration), no token hook, no iteration recording, no
+        pending or in-flight prefill work.  Finds the longest run of
+        ``k >= 2`` future iterations that provably (a) complete no
+        request, (b) fit their KV growth without eviction, and (c)
+        finish strictly before the next simulator event and within the
+        driver's run bound — then applies the ``k`` per-token advances
+        as closed-form vector updates and fast-forwards the clock to
+        the last finish time.
         Falls back to the per-iteration path (returning ``now``
         unchanged) whenever any bound trims the run below 2.
 
@@ -881,129 +888,14 @@ class ArrayReplicaEngine(ReplicaEngine):
         self.simulator.fast_forward(end)
         return end
 
-    def _start_iteration_observed(self) -> None:
-        """Reference-ordered iteration start with full observability.
-
-        Mirrors ``ReplicaEngine._start_iteration`` line for line
-        (events, spans, scheduler view) while the rows/ledger carry
-        the state, so traced runs stay byte-identical.
-        """
-        now = self.simulator.now
-        self._reserve_decode_growth()
-        self._sync_rows()
-        rows = self._rows
-        decode_snapshot = list(rows.req)
-        decode_context_total = self._decode_context_total
-        view = EngineView(
-            now=now,
-            decode_requests=decode_snapshot,
-            kv_cache=self.kv_cache,
-            execution_model=self.execution_model,
-            max_decode_slots=self.config.max_decode_slots,
-            inflight_prefill_ids=frozenset(self._inflight_prefills),
-            decode_context_total=decode_context_total,
-        )
-        assignments = self.scheduler.plan_prefill(view)
-        plan = BatchPlan(
-            prefill_assignments=assignments,
-            decode_requests=decode_snapshot,
-        )
-        if plan.is_empty:
-            if (
-                rows.n == 0
-                and self.scheduler.has_pending_prefill()
-                and self._recover_prefill_stall()
-            ):
-                self._start_iteration()
-                return
-            return
-        for assignment in assignments:
-            request = assignment.request
-            self.kv_cache.grow(request.request_id, assignment.tokens)
-            self._inflight_prefills.add(request.request_id)
-            if request.scheduled_first_time is None:
-                request.scheduled_first_time = now
-                self.observer.on_span_end(
-                    "queue", request, now, self.replica_id
-                )
-                self.observer.on_span_start(
-                    "prefill", request, now, self.replica_id
-                )
-            if (
-                request.relegated
-                and request.request_id not in self._relegation_served_ids
-            ):
-                self._relegation_served_ids.add(request.request_id)
-                self.observer.on_relegation_served(
-                    self.replica_id, request, now, assignment.tokens
-                )
-        shape = plan.to_shape(decode_context_total)
-        exec_time = self.execution_model.batch_time(shape)
-        if self.slowdown_factor != 1.0:
-            exec_time *= self.slowdown_factor
-        self._busy = True
-        self.busy_time += exec_time
-        if plan.prefill_tokens > 0:
-            self.chunk_tokens_hist[plan.prefill_tokens] += 1
-        self.observer.on_iteration_start(
-            self.replica_id, now, exec_time, plan, self.iterations_run,
-            queue_depth=self.scheduler.queue_length(),
-        )
-        seq = self._batch_seq = self._batch_seq + 1
-        rows.epoch[: rows.n] = seq
-        self._stamp_version = rows.version
-        self._inflight_event = self.simulator.schedule_after(
-            exec_time,
-            lambda: self._finish_iteration_observed(
-                plan, shape, exec_time, now, seq
-            ),
-        )
-
-    def _finish_iteration_observed(
-        self,
-        plan: BatchPlan,
-        shape: BatchShape,
-        exec_time: float,
-        start_time: float,
-        seq: int,
-    ) -> None:
-        now = self.simulator.now
-        self._inflight_event = None
-        self.iterations_run += 1
-        if self.config.record_iterations:
-            self.iteration_records.append(
-                IterationRecord(
-                    start_time=start_time,
-                    exec_time=exec_time,
-                    prefill_tokens=shape.prefill_tokens,
-                    num_decodes=shape.num_decodes,
-                    decode_context_total=shape.decode_context_total,
-                    kv_utilization=self.kv_cache.utilization,
-                )
-            )
-        self._advance_scalar(now, seq)
-        for assignment in plan.prefill_assignments:
-            request = assignment.request
-            if request.cancelled:
-                continue
-            request.prefill_done += assignment.tokens
-            if request.remaining_prefill == 0:
-                self._on_prefill_finished(request, now)
-        self.observer.on_iteration_end(
-            self.replica_id, now, start_time, exec_time, plan,
-            self.kv_cache,
-        )
-        self._busy = False
-        self._maybe_start()
-
     # --- decode advance kernels -------------------------------------------
 
     def _advance_scalar(self, now: float, seq: int) -> None:
         """Per-row advance mirroring ``Request.record_output_token``.
 
-        Used when a token hook needs the reference's interleaved
-        hook/completion ordering, in observed mode, and for small
-        batches where kernel launch overhead loses to the loop.
+        Used for batches below ``_SMALL_BATCH`` rows, where kernel
+        launch overhead loses to the loop, and whenever a token hook
+        needs the reference's interleaved hook/completion ordering.
         """
         rows = self._rows
         if (
@@ -1404,7 +1296,7 @@ class ArrayReplicaEngine(ReplicaEngine):
         if request.is_finished:
             return False
         now = self.simulator.now
-        resident = False
+        resident = self.holds(request)
         rows = self._rows
         i = rows.index.get(request.request_id)
         if i is not None:
@@ -1413,22 +1305,12 @@ class ArrayReplicaEngine(ReplicaEngine):
             self.kv_cache.release(request.request_id)
             rows.remove_at(i)
             self._decode_context_total -= context
-            resident = True
-        if request.request_id in self._inflight_prefills:
-            self._inflight_prefills.discard(request.request_id)
-            resident = True
-        if any(
-            r.request_id == request.request_id
-            for r in self.scheduler.pending_requests()
-        ):
-            resident = True
+        self._inflight_prefills.discard(request.request_id)
         self.scheduler.remove(request, now)
         if request in self._stalled_requests:
             self._stalled_requests.remove(request)
-            resident = True
         if request in self._pending_handoffs:
             self._pending_handoffs.remove(request)
-            resident = True
         self.kv_cache.release(request.request_id)
         if self.prefix_cache is not None:
             self.prefix_cache.unlock(request.request_id)
@@ -1467,6 +1349,8 @@ class ArrayReplicaEngine(ReplicaEngine):
         run the reference (object) code on the scheduler's own state;
         only the per-iteration latency-budget scan and the predictor
         lookups are replaced by vectorized/memo-direct equivalents.
+        The chunk-sizing hook fires where ``DynamicChunker.prefill_budget``
+        fires it.
         """
         scheduler = self.scheduler
         if not scheduler._member:
@@ -1494,6 +1378,7 @@ class ArrayReplicaEngine(ReplicaEngine):
                 head_context, n_live, self._decode_context_total
             )
             decision = chunker._decide(latency_budget, predict)
+            chunker.observer.on_chunk_sized(now, decision, n_live)
             scheduler._last_iteration_estimate = decision.predicted_latency
             budget = decision.prefill_budget
         if budget <= 0:

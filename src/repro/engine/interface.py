@@ -180,6 +180,17 @@ class Scheduler(ABC):
         """Requests currently waiting in the prefill queue (any order)."""
         return []
 
+    def is_pending(self, request: Request) -> bool:
+        """Whether ``request`` waits in the prefill queue.
+
+        Subclasses with internal membership tracking override this with
+        an O(1) lookup; the default scans :meth:`pending_requests`.
+        """
+        return any(
+            r.request_id == request.request_id
+            for r in self.pending_requests()
+        )
+
     def queue_length(self) -> int:
         """Number of requests waiting in the prefill queue.
 

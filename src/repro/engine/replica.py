@@ -309,6 +309,17 @@ class ReplicaEngine:
         """Whether ``request`` sits in this replica's decode batch."""
         return request in self.decode_queue
 
+    def holds(self, request: Request) -> bool:
+        """Whether ``request`` is resident here: decoding, prefilling,
+        queued, parked by stall recovery or awaiting a handoff."""
+        return (
+            self.is_decoding(request)
+            or request.request_id in self._inflight_prefills
+            or self.scheduler.is_pending(request)
+            or request in self._stalled_requests
+            or request in self._pending_handoffs
+        )
+
     # --- iteration loop ----------------------------------------------------
 
     def _maybe_start(self) -> None:
@@ -394,7 +405,11 @@ class ReplicaEngine:
             # zeros would drown the histogram's smallest bucket.
             self.chunk_tokens_hist[plan.prefill_tokens] += 1
         self.observer.on_iteration_start(
-            self.replica_id, now, exec_time, plan, self.iterations_run,
+            self.replica_id, now, exec_time, self.iterations_run,
+            assignments, len(decode_snapshot),
+            # Recomputed per request (not the incremental mirror), so
+            # traced parity runs cross-check the array engine's total.
+            sum(r.context_length for r in decode_snapshot),
             queue_depth=self.scheduler.queue_length(),
         )
         self._inflight_event = self.simulator.schedule_after(
@@ -528,9 +543,7 @@ class ReplicaEngine:
             if request.remaining_prefill == 0:
                 self._on_prefill_finished(request, now)
 
-        self.observer.on_iteration_end(
-            self.replica_id, now, start_time, exec_time, plan, self.kv_cache
-        )
+        self.observer.on_iteration_end(self.replica_id, now, self.kv_cache)
         self._busy = False
         self._maybe_start()
 
@@ -699,26 +712,16 @@ class ReplicaEngine:
         if request.is_finished:
             return False
         now = self.simulator.now
-        resident = False
+        resident = self.holds(request)
         if request in self.decode_queue:
             self.decode_queue.remove(request)
             self._decode_context_total -= request.context_length
-            resident = True
-        if request.request_id in self._inflight_prefills:
-            self._inflight_prefills.discard(request.request_id)
-            resident = True
-        if any(
-            r.request_id == request.request_id
-            for r in self.scheduler.pending_requests()
-        ):
-            resident = True
+        self._inflight_prefills.discard(request.request_id)
         self.scheduler.remove(request, now)
         if request in self._stalled_requests:
             self._stalled_requests.remove(request)
-            resident = True
         if request in self._pending_handoffs:
             self._pending_handoffs.remove(request)
-            resident = True
         self.kv_cache.release(request.request_id)
         if self.prefix_cache is not None:
             self.prefix_cache.unlock(request.request_id)

@@ -21,7 +21,7 @@ without threading an argument through each experiment driver.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro.obs.events import (
     ChunkSized,
@@ -58,7 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.core.chunking import ChunkDecision
     from repro.core.relegation import RelegationPlan
     from repro.core.request import Request
-    from repro.engine.batch import BatchPlan
+    from repro.engine.batch import PrefillAssignment
     from repro.engine.kvcache import KVCacheManager
 
 
@@ -66,10 +66,10 @@ class Observer:
     """No-op observability hooks; subclass and override what you need.
 
     Hooks fire *after* the decision they describe.  Implementations
-    must not mutate any argument: requests, plans and the KV manager
-    are the engine's live state, shared for cheapness, and tracing is
-    required to be side-effect-free (the determinism regression test
-    pins this).
+    must not mutate any argument: requests, prefill assignments and
+    the KV manager are the engine's live state, shared for cheapness,
+    and tracing is required to be side-effect-free (the determinism
+    regression test pins this).
     """
 
     def on_iteration_start(
@@ -77,26 +77,24 @@ class Observer:
         replica_id: int,
         now: float,
         exec_time: float,
-        plan: "BatchPlan",
         iteration: int,
+        prefill_assignments: "Sequence[PrefillAssignment]",
+        num_decodes: int,
+        decode_context_tokens: int,
         queue_depth: int = -1,
     ) -> None:
         """An iteration was planned; it will finish at ``now + exec_time``.
 
-        ``queue_depth`` is the scheduler backlog at dispatch (-1 when
-        the caller does not know it).
+        The batch runs ``prefill_assignments`` plus one token for each
+        of ``num_decodes`` decoding requests, whose contexts total
+        ``decode_context_tokens``.  ``queue_depth`` is the scheduler
+        backlog at dispatch (-1 when the caller does not know it).
         """
 
     def on_iteration_end(
-        self,
-        replica_id: int,
-        now: float,
-        start_time: float,
-        exec_time: float,
-        plan: "BatchPlan",
-        kv_cache: "KVCacheManager",
+        self, replica_id: int, now: float, kv_cache: "KVCacheManager"
     ) -> None:
-        """The iteration dispatched at ``start_time`` completed."""
+        """The replica's in-flight iteration completed at ``now``."""
 
     def on_chunk_sized(
         self, now: float, decision: "ChunkDecision", num_decodes: int
@@ -493,36 +491,32 @@ class TracingObserver(Observer):
     # --- engine hooks ----------------------------------------------------
 
     def on_iteration_start(
-        self, replica_id, now, exec_time, plan, iteration,
-        queue_depth: int = -1,
+        self, replica_id, now, exec_time, iteration, prefill_assignments,
+        num_decodes, decode_context_tokens, queue_depth: int = -1,
     ) -> None:
-        prefill_tokens = plan.prefill_tokens
+        prefill_tokens = sum(a.tokens for a in prefill_assignments)
         self.recorder.emit(IterationScheduled(
             ts=now,
             replica_id=replica_id,
             iteration=iteration,
             dur=exec_time,
             prefill_tokens=prefill_tokens,
-            num_prefills=len(plan.prefill_assignments),
-            num_decodes=len(plan.decode_requests),
-            decode_context_tokens=sum(
-                r.context_length for r in plan.decode_requests
-            ),
+            num_prefills=len(prefill_assignments),
+            num_decodes=num_decodes,
+            decode_context_tokens=decode_context_tokens,
             prefill_request_ids=tuple(
-                a.request.request_id for a in plan.prefill_assignments
+                a.request.request_id for a in prefill_assignments
             ),
             queue_depth=queue_depth,
         ))
         replica = str(replica_id)
         self._iterations.labels(replica).inc()
         self._prefill_tokens.labels(replica).inc(prefill_tokens)
-        self._decode_tokens.labels(replica).inc(len(plan.decode_requests))
+        self._decode_tokens.labels(replica).inc(num_decodes)
         self._exec_seconds.observe(exec_time)
         self._chunk_hist.observe(prefill_tokens)
 
-    def on_iteration_end(
-        self, replica_id, now, start_time, exec_time, plan, kv_cache
-    ) -> None:
+    def on_iteration_end(self, replica_id, now, kv_cache) -> None:
         self._kv_utilization.labels(str(replica_id)).set(
             kv_cache.utilization
         )
@@ -830,17 +824,20 @@ class MultiObserver(Observer):
 
     def __init__(self, observers: "Iterable[Observer]") -> None:
         self.observers: tuple[Observer, ...] = tuple(observers)
+        # One fan-out per hook, built here and bound as an instance
+        # attribute, so a hook call allocates nothing.
+        for name in vars(Observer):
+            if name.startswith("on_"):
+                setattr(self, name, self._fan_out(name))
 
-    def __getattribute__(self, name: str):
-        if name.startswith("on_"):
-            observers = object.__getattribute__(self, "observers")
+    def _fan_out(self, name: str) -> Callable[..., None]:
+        hooks = tuple(getattr(observer, name) for observer in self.observers)
 
-            def fan_out(*args, **kwargs) -> None:
-                for observer in observers:
-                    getattr(observer, name)(*args, **kwargs)
+        def fan_out(*args, **kwargs) -> None:
+            for hook in hooks:
+                hook(*args, **kwargs)
 
-            return fan_out
-        return object.__getattribute__(self, name)
+        return fan_out
 
 
 # --- process-wide default observer ------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from contextlib import contextmanager
 from unittest import mock
 
@@ -36,6 +38,17 @@ def engine_core(kind: str):
         return
     with mock.patch.object(arrays, "build_replica", ENGINE_CORES[kind]):
         yield
+
+
+def event_checksum(events) -> str:
+    """SHA-256 over a trace's events in canonical JSON, one per line."""
+    digest = hashlib.sha256()
+    for event in events:
+        digest.update(json.dumps(
+            event, sort_keys=True, separators=(",", ":")
+        ).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
 
 
 @pytest.fixture(scope="session")

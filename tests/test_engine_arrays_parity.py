@@ -8,10 +8,11 @@ stream.  These tests pin that claim at every layer the array engine
 reimplements (``tests/test_engine_stack_parity.py`` repeats it through
 every cluster kind):
 
-* fast-mode run summaries (no observer — the vectorized kernels,
-  decode-stretch fast-forward and version-stamped advance paths);
+* untraced run summaries (the vectorized kernels, decode-stretch
+  fast-forward and version-stamped advance paths);
 * traced runs (byte-identical event streams, rendered metric
-  registries and per-request audit attribution);
+  registries and per-request audit attribution) through the same
+  loop and kernels, with the decode stretch off;
 * the fault path (crash + slowdown plan on a resilient pool);
 * a seeded 500-request randomized property run (completion order and
   per-request latency attribution totals);
@@ -22,9 +23,13 @@ every cluster kind):
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.core.chunking import DynamicChunker
 from repro.core.request import Request
 from repro.engine import ArrayReplicaEngine, ReplicaConfig, ReplicaEngine
 from repro.engine.arrays import ArrayKVLedger, _RowStore
@@ -36,7 +41,7 @@ from repro.obs.trace import ListSink, TraceRecorder
 from repro.perfmodel.execution import BatchShape, PrefillChunk
 from repro.simcore import Simulator
 from repro.workload.datasets import AZURE_CODE, AZURE_CONV
-from tests.conftest import ENGINE_CORES, engine_core
+from tests.conftest import ENGINE_CORES, engine_core, event_checksum
 
 ENGINES = tuple(ENGINE_CORES.values())
 
@@ -87,6 +92,15 @@ def fingerprint(engine, requests):
             dict(engine.chunk_tokens_hist),
         )
     ]
+
+
+@contextmanager
+def spy(cls, name):
+    """Count calls to ``cls.name`` while still running it."""
+    with mock.patch.object(
+        cls, name, autospec=True, side_effect=getattr(cls, name)
+    ) as method:
+        yield method
 
 
 def run_fast(engine_cls, execution_model, requests, scheduler):
@@ -143,17 +157,33 @@ class TestRunParity:
 
     def test_heavy_load_exercises_vector_advance(self, execution_model):
         """Arrivals compressed 12x drive the decode batch past the
-        small-batch threshold, so the slice-kernel advance path runs."""
+        small-batch threshold, so the slice-kernel advance path runs —
+        untraced and traced alike: the traced loop is the production
+        loop, vector advance and QoServe planning kernel included."""
         trace = build_trace(AZURE_CONV, qps=1.0, num_requests=120, seed=13)
-        results = []
-        for engine_cls in ENGINES:
+
+        def compressed():
             requests = clone(trace.requests)
             for r in requests:
                 r.arrival_time /= 12.0
-            results.append(
-                run_fast(engine_cls, execution_model, requests, "qoserve")
-            )
+            return requests
+
+        results, traced = [], []
+        for engine_cls in ENGINES:
+            results.append(run_fast(
+                engine_cls, execution_model, compressed(), "qoserve"
+            ))
+            with spy(ArrayReplicaEngine, "_advance_vector") as advance, \
+                    spy(ArrayReplicaEngine, "_plan_qoserve_fast") as plan:
+                events, metrics = run_traced(
+                    engine_cls, execution_model, compressed(), "qoserve"
+                )
+            traced.append((event_checksum(events), metrics))
+            if engine_cls is ArrayReplicaEngine:
+                assert advance.call_count > 0
+                assert plan.call_count > 0
         assert results[0] == results[1]
+        assert traced[0] == traced[1]
 
     def test_stepped_run_until(self, execution_model):
         """Gateway-style incremental run(until=...) driving — the
@@ -212,6 +242,37 @@ class TestTracedParity:
             audit_events(events[0]).to_dict()
             == audit_events(events[1]).to_dict()
         )
+
+    def test_traced_run_steps_every_iteration(self, execution_model):
+        """The decode stretch merges iterations, so it stays off under
+        tracing: one ``iteration_scheduled`` event per iteration run
+        and one ``chunk_sized`` event per dynamic-chunking plan."""
+        trace = build_trace(AZURE_CONV, qps=1.0, num_requests=40, seed=3)
+        with spy(ArrayKVLedger, "stretch_grow") as stretch:
+            run_fast(
+                ArrayReplicaEngine, execution_model,
+                clone(trace.requests), "qoserve",
+            )
+        assert stretch.call_count > 0, "workload must be decode-heavy"
+
+        sim = Simulator()
+        sink = ListSink()
+        engine = ArrayReplicaEngine(
+            sim,
+            execution_model,
+            make_scheduler("qoserve", execution_model),
+            ReplicaConfig(),
+            observer=TracingObserver(recorder=TraceRecorder([sink])),
+        )
+        for r in clone(trace.requests):
+            engine.submit(r)
+        with spy(ArrayKVLedger, "stretch_grow") as stretch, \
+                spy(DynamicChunker, "_decide") as decide:
+            sim.run(max_events=5_000_000)
+        assert stretch.call_count == 0
+        kinds = [e["kind"] for e in sink.events]
+        assert kinds.count("iteration_scheduled") == engine.iterations_run
+        assert kinds.count("chunk_sized") == decide.call_count > 0
 
 
 class TestFaultParity:

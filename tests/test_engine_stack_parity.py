@@ -4,16 +4,18 @@ Every serving stack builds its replicas through
 :func:`repro.engine.arrays.build_replica`.  These tests swap the object
 reference oracle in at that seam (:func:`tests.conftest.engine_core`)
 and pin byte-identical ``RunSummary`` JSON, per-request outcomes and
-trace-event checksums against the production array engine — untraced
-(the array engine's fast mode) and traced (its observed mode) — for
-the disaggregated deployment, the three decode pools, the reactive
-autoscaler, the resilient cluster under a seeded crash/recover plan,
-the burn-rate-autoscaled heterogeneous fleet, and ``Session.cancel``.
+trace-event checksums against the production array engine, untraced
+and traced (the array engine runs one iteration loop either way; only
+its decode stretch is off under tracing), for the disaggregated
+deployment, the three decode pools, the reactive autoscaler, the
+resilient cluster under a seeded crash/recover plan, the
+burn-rate-autoscaled heterogeneous fleet, and ``Session.cancel``
+(including a request parked by prefill-stall recovery).
 """
 
 from __future__ import annotations
 
-import hashlib
+import copy
 import json
 
 import numpy as np
@@ -37,7 +39,7 @@ from repro.metrics.summary import summarize_run
 from repro.obs import ListSink, TraceRecorder, TracingObserver
 from repro.obs.observer import default_observer
 from repro.simcore import Simulator
-from tests.conftest import ENGINE_CORES, engine_core
+from tests.conftest import ENGINE_CORES, engine_core, event_checksum
 
 EXEC = get_execution_model("llama3-8b")
 
@@ -62,16 +64,6 @@ def _outcomes(requests) -> list[tuple]:
     ]
 
 
-def _checksum(events) -> str:
-    digest = hashlib.sha256()
-    for event in events:
-        digest.update(json.dumps(
-            event, sort_keys=True, separators=(",", ":")
-        ).encode())
-        digest.update(b"\n")
-    return digest.hexdigest()
-
-
 def run_on_both_cores(scenario) -> dict:
     """Run ``scenario()`` untraced and traced on each engine core.
 
@@ -90,7 +82,7 @@ def run_on_both_cores(scenario) -> dict:
             with default_observer(TracingObserver(TraceRecorder([sink]))):
                 traced, _ = scenario()
         assert sink.events, "traced run recorded no events"
-        results[kind] = (fast, traced, len(sink.events), _checksum(
+        results[kind] = (fast, traced, len(sink.events), event_checksum(
             sink.events
         ))
     return results
@@ -302,3 +294,33 @@ class TestSessionCancelParity:
         assert cancelled[4] is False
         by_id = {o[0]: o for o in outcomes}
         assert by_id[cancelled[0]][6] and by_id[cancelled[2]][6]
+
+    @pytest.mark.parametrize("kind", list(ENGINE_CORES))
+    def test_cancel_stall_parked(self, kind):
+        """A prefill evicted by stall recovery is parked outside the
+        scheduler until a completion frees memory; it is still
+        resident, so ``Session.cancel`` must withdraw it."""
+        model = copy.copy(EXEC)
+        model._kv_capacity_tokens = 12_000  # wedges mutual prefills
+        trace = build_trace("AzCode", qps=8.0, num_requests=150, seed=0)
+        with engine_core(kind):
+            session = Session(
+                ServeConfig(scheduler="qoserve"), execution_model=model
+            )
+        [engine] = session.engines
+        assert type(engine) is ENGINE_CORES[kind]
+        for request in trace.fresh_copy():
+            session.submit(request)
+        t = 0.0
+        while not engine._stalled_requests:
+            assert t < 60.0, "no prefill stall occurred"
+            t += 0.05
+            session.advance(until=t)
+        [parked] = engine._stalled_requests
+        assert engine.holds(parked)
+        assert session.cancel(parked, "client") is True
+        session.drain()
+        assert parked.cancelled
+        assert parked in engine.cancelled
+        assert parked not in engine.completed
+        assert not engine.holds(parked)
