@@ -43,7 +43,7 @@ from repro.engine.interface import Scheduler
 from repro.engine.replica import ReplicaConfig, ReplicaEngine
 from repro.metrics.summary import RunSummary, summarize_run
 from repro.obs.metrics import DEFAULT_CHUNK_BUCKETS, bucket_counts
-from repro.obs.observer import Observer
+from repro.obs.observer import Observer, get_default_observer
 from repro.perfmodel.execution import ExecutionModel
 from repro.schedulers import (
     ConServeScheduler,
@@ -343,8 +343,9 @@ class Session:
         scheduler: Pre-built scheduler for single-replica sessions.
         scheduler_factory: Pre-built factory for cluster sessions.
         simulator: Share an existing event loop.
-        observer: Observability hooks; ``None`` adopts the process
-            default at engine construction, as engines always have.
+        observer: Event sink for tracing/metrics; ``None`` adopts the
+            process default at engine construction, as engines always
+            have.  Kept as :attr:`observer`.
     """
 
     def __init__(
@@ -366,21 +367,22 @@ class Session:
             execution_model = get_execution_model(config.deployment)
         self.execution_model = execution_model
         self.simulator = simulator or Simulator()
+        #: The caller's observer (the process default when none was
+        #: passed).  With ``audit`` on, the engines see it behind a
+        #: ``MultiObserver`` shared with the audit collector, so readers
+        #: of its registry (the gateway's ``/metrics``, live frames)
+        #: look here rather than at an engine.
+        self.observer = (
+            observer if observer is not None else get_default_observer()
+        )
         self._audit_sink = None
         if config.audit:
-            from repro.obs.observer import (
-                MultiObserver,
-                TracingObserver,
-                get_default_observer,
-            )
+            from repro.obs.observer import MultiObserver, TracingObserver
             from repro.obs.trace import ListSink, TraceRecorder
 
             self._audit_sink = ListSink()
             collector = TracingObserver(TraceRecorder([self._audit_sink]))
-            effective = (
-                observer if observer is not None else get_default_observer()
-            )
-            observer = MultiObserver([collector, effective])
+            observer = MultiObserver([collector, self.observer])
 
         replica_config = ReplicaConfig(
             record_iterations=config.record_iterations,

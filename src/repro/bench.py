@@ -511,10 +511,10 @@ def _span_overhead_benchmark(quick: bool) -> dict[str, Any]:
 
     Four identical runs after a warm-up: the no-op
     :data:`~repro.obs.NULL_OBSERVER` twice (baseline + noise floor; span
-    hooks on the no-op path must be free), a
-    :class:`~repro.obs.TracingObserver` with span emission suppressed
+    events on the no-op path must be free), a
+    :class:`~repro.obs.TracingObserver` that drops span events
     (the pre-span tracing cost), and the full observer.
-    ``spans_overhead`` is the span hooks' marginal cost over the
+    ``spans_overhead`` is the span events' marginal cost over the
     otherwise-identical tracing run — the quantity the "<= 5%" bound in
     ``docs/OBSERVABILITY.md`` refers to; ``tracing_overhead`` is the
     long-standing cost of full event tracing vs no observer at all.
@@ -529,14 +529,13 @@ def _span_overhead_benchmark(quick: bool) -> dict[str, Any]:
         run_replica_trace,
     )
     from repro.obs import RingSink, TraceRecorder, TracingObserver
+    from repro.obs.events import SpanEnd, SpanStart
     from repro.workload.datasets import AZURE_CODE
 
     class _NoSpanObserver(TracingObserver):
-        def on_span_start(self, name, request, now, replica_id=-1):
-            pass
-
-        def on_span_end(self, name, request, now, replica_id=-1):
-            pass
+        def emit(self, event) -> None:
+            if not isinstance(event, (SpanStart, SpanEnd)):
+                super().emit(event)
 
     execution_model = get_execution_model("llama3-8b")
     num_requests = 150 if quick else 400

@@ -19,6 +19,8 @@ from repro.engine import arrays
 from repro.engine.interface import Scheduler
 from repro.engine.replica import ReplicaConfig, ReplicaEngine
 from repro.metrics.summary import RunSummary, summarize_run
+from repro.obs.events import SpanEnd, SpanStart
+from repro.obs.observer import NULL_OBSERVER
 from repro.perfmodel.execution import ExecutionModel
 from repro.simcore.simulator import Simulator
 from repro.workload.trace import Trace
@@ -241,13 +243,16 @@ class ClusterDeployment:
         replica = self._pick_replica(request)
         now = self.simulator.now
         observer = replica.observer
-        observer.on_span_start(
-            "dispatch", request, now, replica.replica_id
-        )
+        tracing = observer is not NULL_OBSERVER
+        if tracing:
+            observer.emit(SpanStart.of(
+                "dispatch", request, now, replica.replica_id
+            ))
         replica.submit_now(request)
-        observer.on_span_end(
-            "dispatch", request, now, replica.replica_id
-        )
+        if tracing:
+            observer.emit(SpanEnd.of(
+                "dispatch", request, now, replica.replica_id
+            ))
         return replica
 
     def set_completion_hook(

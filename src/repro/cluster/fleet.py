@@ -44,6 +44,7 @@ from repro.engine import arrays
 from repro.engine.replica import ReplicaConfig, ReplicaEngine
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import ResilienceConfig
+from repro.obs.events import FaultSkipped, FleetComposition, FleetResized
 from repro.obs.sketch import BurnRateTracker
 from repro.perfmodel.execution import ExecutionModel
 from repro.perfmodel.hardware import A100_80GB, H100_80GB, HardwareSpec
@@ -480,9 +481,9 @@ class FleetDeployment(ResilientClusterDeployment):
     def _emit_fault_skipped(self, replica_id: int, fault_kind: str,
                             reason: str) -> None:
         self.faults_skipped += 1
-        self.replicas[0].observer.on_fault_skipped(
-            replica_id, self.simulator.now, fault_kind, reason
-        )
+        self.replicas[0].observer.emit(FaultSkipped(
+            self.simulator.now, replica_id, fault_kind, reason
+        ))
 
     def on_replica_crash(self, replica_id: int) -> None:
         reason = self._skip_fault(replica_id)
@@ -672,11 +673,7 @@ class FleetDeployment(ResilientClusterDeployment):
         for _ in range(min(steps, max(0, room))):
             cls = self.autoscaler.choose_class(self)
             self._pending.append(cls)
-            self.scaling_events.append((now, "provision", self.fleet_size))
-            self.replicas[0].observer.on_fleet_resized(
-                now, "provision", -1, cls.name, self.fleet_size,
-                by_hardware=self.size_by_hardware(),
-            )
+            self._record_resize(now, "provision", -1, cls.name)
             self.simulator.schedule_after(
                 self.fleet.provision_delay,
                 self._replica_ready,
@@ -707,14 +704,8 @@ class FleetDeployment(ResilientClusterDeployment):
 
         victim = min(candidates, key=drain_key)
         victim.draining = True
-        self.scaling_events.append((now, "drain", self.fleet_size))
-        self.replicas[0].observer.on_fleet_resized(
-            now,
-            "drain",
-            victim.engine.replica_id,
-            victim.hw_class.name,
-            self.fleet_size,
-            by_hardware=self.size_by_hardware(),
+        self._record_resize(
+            now, "drain", victim.engine.replica_id, victim.hw_class.name
         )
 
     def _replica_ready(self) -> None:
@@ -741,12 +732,8 @@ class FleetDeployment(ResilientClusterDeployment):
         self._slots.append(
             _FleetSlot(engine=engine, hw_class=cls, provisioned_at=now)
         )
-        self.scaling_events.append((now, "ready", self.fleet_size))
         self._last_capacity_change = now
-        self.replicas[0].observer.on_fleet_resized(
-            now, "ready", engine.replica_id, cls.name, self.fleet_size,
-            by_hardware=self.size_by_hardware(),
-        )
+        self._record_resize(now, "ready", engine.replica_id, cls.name)
         # New capacity may be the first capacity (total outage while
         # provisioning): drain the stranded queue like a recovery does.
         while self._waiting and self._eligible_replicas():
@@ -766,17 +753,22 @@ class FleetDeployment(ResilientClusterDeployment):
             if empty or not slot.engine.healthy:
                 slot.released = True
                 slot.released_at = now
-                self.scaling_events.append(
-                    (now, "release", self.fleet_size)
-                )
-                self.replicas[0].observer.on_fleet_resized(
-                    now,
-                    "release",
-                    slot.engine.replica_id,
+                self._record_resize(
+                    now, "release", slot.engine.replica_id,
                     slot.hw_class.name,
-                    self.fleet_size,
-                    by_hardware=self.size_by_hardware(),
                 )
+
+    def _record_resize(
+        self, now: float, action: str, replica_id: int, hardware: str
+    ) -> None:
+        self.scaling_events.append((now, action, self.fleet_size))
+        observer = self.replicas[0].observer
+        observer.emit(FleetResized(
+            now, action, replica_id, hardware, self.fleet_size
+        ))
+        observer.emit(FleetComposition(
+            now, tuple(self.size_by_hardware().items())
+        ))
 
     # --- accounting -------------------------------------------------------
 

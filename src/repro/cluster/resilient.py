@@ -38,6 +38,12 @@ from repro.engine.replica import ReplicaConfig, ReplicaEngine
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, get_default_fault_plan
 from repro.faults.policy import ResilienceConfig
+from repro.obs.events import (
+    ReplicaSlowdown,
+    RequestCancelled,
+    RequestRetried,
+    RequestShed,
+)
 from repro.perfmodel.execution import ExecutionModel
 from repro.simcore.events import Event
 from repro.simcore.simulator import Simulator
@@ -138,7 +144,10 @@ class ResilientClusterDeployment(ClusterDeployment):
     def _shed(self, request: Request, now: float, alive: float) -> None:
         request.shed = True
         self.shed_requests.append(request)
-        self.replicas[0].observer.on_request_shed(request, now, alive)
+        self.replicas[0].observer.emit(RequestShed(
+            now, request.request_id, request.qos.name, request.important,
+            alive,
+        ))
 
     def _sheddable(self, request: Request, level: int) -> bool:
         """Victim ordering mirrors relegation: free tier first, then
@@ -187,8 +196,8 @@ class ResilientClusterDeployment(ClusterDeployment):
     def on_replica_slowdown(self, replica_id: int, factor: float) -> None:
         engine = self.replicas[replica_id]
         engine.set_slowdown(factor)
-        engine.observer.on_replica_slowdown(
-            replica_id, self.simulator.now, factor
+        engine.observer.emit(
+            ReplicaSlowdown(self.simulator.now, replica_id, factor)
         )
 
     # --- retry ----------------------------------------------------------
@@ -202,9 +211,10 @@ class ResilientClusterDeployment(ClusterDeployment):
             return
         backoff = policy.backoff(request.attempts)
         self.retries_scheduled += 1
-        self.replicas[0].observer.on_request_retried(
-            request, now, request.attempts, backoff, from_replica
-        )
+        self.replicas[0].observer.emit(RequestRetried(
+            now, request.request_id, request.qos.name, request.attempts,
+            backoff, from_replica,
+        ))
         self.simulator.schedule(
             now + backoff, lambda: self._redispatch(request)
         )
@@ -235,8 +245,8 @@ class ResilientClusterDeployment(ClusterDeployment):
         request.cancel(now, reason)
         self._record_cancel(request, now)
         self._disarm_watchdog(request)
-        self.replicas[0].observer.on_request_cancelled(
-            -1, request, now, reason
+        self.replicas[0].observer.emit(
+            RequestCancelled.of(-1, request, now, reason)
         )
 
     # --- deadline watchdog ----------------------------------------------
@@ -285,7 +295,7 @@ class ResilientClusterDeployment(ClusterDeployment):
         owner = self._owner.pop(request.request_id, None)
         if owner is not None:
             # The engine cancels the request (resident or not), frees
-            # its KV and fires the observer hook.
+            # its KV and emits the cancellation event.
             owner.cancel_request(request, "deadline")
             self._record_cancel(request, now)
             return
@@ -296,8 +306,8 @@ class ResilientClusterDeployment(ClusterDeployment):
             pass
         request.cancel(now, "deadline")
         self._record_cancel(request, now)
-        self.replicas[0].observer.on_request_cancelled(
-            -1, request, now, "deadline"
+        self.replicas[0].observer.emit(
+            RequestCancelled.of(-1, request, now, "deadline")
         )
 
     def _on_request_complete(self, request: Request, now: float) -> None:

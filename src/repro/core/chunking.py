@@ -16,6 +16,7 @@ from typing import Iterable
 
 from repro.core.predictor import BatchLatencyPredictor
 from repro.core.request import Request
+from repro.obs.events import ChunkSized
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.obs.timing import timed
 from repro.perfmodel.execution import BatchShape, PrefillChunk
@@ -65,8 +66,8 @@ class DynamicChunker:
         self.max_chunk = int(max_chunk)
         self.ni_pace_floor = float(ni_pace_floor)
         self.search_tolerance = max(1, int(search_tolerance))
-        #: Observability hooks; every chosen budget is reported via
-        #: :meth:`Observer.on_chunk_sized` (no-op by default).
+        #: Observability seam; every chosen budget is emitted as a
+        #: :class:`~repro.obs.events.ChunkSized` (no-op by default).
         self.observer: Observer = NULL_OBSERVER
         # Warm-start state: the (lo, hi) bracket the previous binary
         # search converged to.  The predictor is monotone in chunk
@@ -170,7 +171,8 @@ class DynamicChunker:
             )
 
         decision = self._decide(budget, predict)
-        self.observer.on_chunk_sized(now, decision, num_decodes)
+        if self.observer is not NULL_OBSERVER:
+            self.observer.emit(ChunkSized.of(now, decision, num_decodes))
         return decision
 
     def _decide(self, budget: float, predict) -> ChunkDecision:

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.core.decode_estimator import DecodeLengthEstimator
 from repro.core.request import Request
+from repro.obs.events import RelegationScan
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.obs.timing import timed
 
@@ -118,8 +119,8 @@ class RelegationPolicy:
         self.checker = checker
         self.use_hints = use_hints
         self.max_scan = int(max_scan)
-        #: Observability hooks; each scan reports its outcome via
-        #: :meth:`Observer.on_relegation_scan` (no-op by default).
+        #: Observability seam; each scan's outcome is emitted as a
+        #: :class:`~repro.obs.events.RelegationScan` (no-op by default).
         self.observer: Observer = NULL_OBSERVER
 
     @timed("relegation.plan")
@@ -191,5 +192,6 @@ class RelegationPolicy:
                 removed.add(request.request_id)
             else:
                 cumulative += service
-        self.observer.on_relegation_scan(now, plan)
+        if self.observer is not NULL_OBSERVER:
+            self.observer.emit(RelegationScan(now, plan.important_saved))
         return plan

@@ -29,8 +29,8 @@ engineered, not hoped for:
   eviction ordering.
 
 One iteration loop serves traced and untraced runs alike.  Observer
-hooks fire from it in the reference order (a no-op call each when
-nothing is attached), so traces stay byte-identical while the
+events are emitted from it in the reference order (and not even
+built when nothing is attached), so traces stay byte-identical while the
 vectorized advance and the QoServe planning kernels (latency budget,
 memoized forest lookups, no view/plan construction) run either way;
 other schedulers plan through the ``Scheduler`` protocol with a lazy
@@ -55,6 +55,17 @@ import numpy as np
 from repro.core.request import Request
 from repro.engine.batch import IterationRecord, PrefillAssignment
 from repro.engine.interface import EngineView, Scheduler
+from repro.obs.events import (
+    ChunkSized,
+    DecodeEvicted,
+    IterationScheduled,
+    PrefixInserted,
+    RelegationServed,
+    ReplicaCrashed,
+    RequestCancelled,
+    SpanEnd,
+    SpanStart,
+)
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.perfmodel.execution import BatchShape, ExecutionModel, PrefillChunk
 from repro.engine.replica import ReplicaConfig, ReplicaEngine
@@ -637,10 +648,11 @@ class ArrayReplicaEngine(ReplicaEngine):
     def _start_iteration(self) -> None:
         now = self.simulator.now
         observer = self.observer
+        tracing = observer is not NULL_OBSERVER
         # The stretch merges iterations; a trace records each one.
         if (
             self._rows.n > 0
-            and observer is NULL_OBSERVER
+            and not tracing
             and self.token_hook is None
             and not self.config.record_iterations
             and not self._inflight_prefills
@@ -684,20 +696,22 @@ class ArrayReplicaEngine(ReplicaEngine):
                 self._inflight_prefills.add(request_id)
                 if request.scheduled_first_time is None:
                     request.scheduled_first_time = now
-                    observer.on_span_end(
-                        "queue", request, now, self.replica_id
-                    )
-                    observer.on_span_start(
-                        "prefill", request, now, self.replica_id
-                    )
+                    if tracing:
+                        observer.emit(SpanEnd.of(
+                            "queue", request, now, self.replica_id
+                        ))
+                        observer.emit(SpanStart.of(
+                            "prefill", request, now, self.replica_id
+                        ))
                 if (
                     request.relegated
                     and request_id not in self._relegation_served_ids
                 ):
                     self._relegation_served_ids.add(request_id)
-                    observer.on_relegation_served(
-                        self.replica_id, request, now, tokens
-                    )
+                    if tracing:
+                        observer.emit(RelegationServed.of(
+                            self.replica_id, request, now, tokens
+                        ))
                 prefill_tokens += tokens
         else:
             chunks = ()
@@ -710,11 +724,12 @@ class ArrayReplicaEngine(ReplicaEngine):
         self.busy_time += exec_time
         if prefill_tokens > 0:
             self.chunk_tokens_hist[prefill_tokens] += 1
-        observer.on_iteration_start(
-            self.replica_id, now, exec_time, self.iterations_run,
-            assignments, n_live, decode_context_total,
-            queue_depth=self.scheduler.queue_length(),
-        )
+        if tracing:
+            observer.emit(IterationScheduled.of(
+                self.replica_id, now, exec_time, self.iterations_run,
+                assignments, n_live, decode_context_total,
+                self.scheduler.queue_length(),
+            ))
         seq = self._batch_seq = self._batch_seq + 1
         rows.epoch[:n_live] = seq
         self._stamp_version = rows.version
@@ -765,7 +780,7 @@ class ArrayReplicaEngine(ReplicaEngine):
             request.prefill_done += assignment.tokens
             if request.remaining_prefill == 0:
                 self._on_prefill_finished(request, now)
-        self.observer.on_iteration_end(self.replica_id, now, self.kv_cache)
+        self._emit_kv_snapshot(now)
         self._busy = False
         self._maybe_start()
 
@@ -1154,9 +1169,10 @@ class ArrayReplicaEngine(ReplicaEngine):
         self._decode_context_total -= context_lost
         request.evict()
         self.decode_evictions += 1
-        self.observer.on_decode_evicted(
-            self.replica_id, request, self.simulator.now, context_lost
-        )
+        self.observer.emit(DecodeEvicted(
+            self.simulator.now, self.replica_id, request.request_id,
+            context_lost,
+        ))
         self.scheduler.enqueue(request, self.simulator.now)
 
     # --- lifecycle transitions --------------------------------------------
@@ -1179,7 +1195,10 @@ class ArrayReplicaEngine(ReplicaEngine):
     def _on_prefill_finished(self, request: Request, now: float) -> None:
         self._inflight_prefills.discard(request.request_id)
         self.scheduler.on_prefill_complete(request, now)
-        self.observer.on_span_end("prefill", request, now, self.replica_id)
+        observer = self.observer
+        tracing = observer is not NULL_OBSERVER
+        if tracing:
+            observer.emit(SpanEnd.of("prefill", request, now, self.replica_id))
         if self.config.prefill_only:
             self.kv_cache.release(request.request_id)
             assert self.prefill_sink is not None
@@ -1189,18 +1208,17 @@ class ArrayReplicaEngine(ReplicaEngine):
             created, deduped = self.prefix_cache.insert_and_lock(
                 request.request_id, request.token_ids
             )
-            self.observer.on_prefix_insert(
-                self.replica_id,
-                now,
-                created,
-                deduped,
-                self.prefix_cache.cached_tokens,
-            )
+            if tracing:
+                observer.emit(PrefixInserted(
+                    now, self.replica_id, created, deduped,
+                    self.prefix_cache.cached_tokens,
+                ))
         if request.decoded == 0:
             request.record_output_token(now)
-            self.observer.on_span_start(
-                "decode", request, now, self.replica_id
-            )
+            if tracing:
+                observer.emit(SpanStart.of(
+                    "decode", request, now, self.replica_id
+                ))
             if self.token_hook is not None:
                 self.token_hook(request, now)
         if request.is_finished:
@@ -1221,8 +1239,7 @@ class ArrayReplicaEngine(ReplicaEngine):
         if self.prefix_cache is not None:
             self.prefix_cache.unlock(request.request_id)
         self.completed.append(request)
-        self.observer.on_span_end("decode", request, now, self.replica_id)
-        self.observer.on_request_completed(self.replica_id, request, now)
+        self._emit_completed(request, now)
         self.scheduler.on_request_complete(request, now)
         if self.completion_hook is not None:
             self.completion_hook(request, now)
@@ -1287,9 +1304,9 @@ class ArrayReplicaEngine(ReplicaEngine):
         self.healthy = False
         self.crash_count += 1
         self._crashed_at = now
-        self.observer.on_replica_crashed(
-            self.replica_id, now, len(lost), kv_blocks_dropped
-        )
+        self.observer.emit(ReplicaCrashed(
+            now, self.replica_id, len(lost), kv_blocks_dropped
+        ))
         return lost
 
     def cancel_request(self, request: Request, reason: str) -> bool:
@@ -1316,8 +1333,9 @@ class ArrayReplicaEngine(ReplicaEngine):
             self.prefix_cache.unlock(request.request_id)
         request.cancel(now, reason)
         self.cancelled.append(request)
-        self.observer.on_request_cancelled(self.replica_id, request, now,
-                                           reason)
+        self.observer.emit(
+            RequestCancelled.of(self.replica_id, request, now, reason)
+        )
         if self._pending_handoffs:
             self._admit_handoffs()
         self._maybe_start()
@@ -1349,8 +1367,8 @@ class ArrayReplicaEngine(ReplicaEngine):
         run the reference (object) code on the scheduler's own state;
         only the per-iteration latency-budget scan and the predictor
         lookups are replaced by vectorized/memo-direct equivalents.
-        The chunk-sizing hook fires where ``DynamicChunker.prefill_budget``
-        fires it.
+        The chunk-sizing event is emitted where
+        ``DynamicChunker.prefill_budget`` emits it.
         """
         scheduler = self.scheduler
         if not scheduler._member:
@@ -1378,7 +1396,8 @@ class ArrayReplicaEngine(ReplicaEngine):
                 head_context, n_live, self._decode_context_total
             )
             decision = chunker._decide(latency_budget, predict)
-            chunker.observer.on_chunk_sized(now, decision, n_live)
+            if chunker.observer is not NULL_OBSERVER:
+                chunker.observer.emit(ChunkSized.of(now, decision, n_live))
             scheduler._last_iteration_estimate = decision.predicted_latency
             budget = decision.prefill_budget
         if budget <= 0:

@@ -127,14 +127,14 @@ class Scheduler(ABC):
     #: Human-readable policy name used in experiment tables.
     name: str = "scheduler"
 
-    #: Observability hooks; the no-op default costs one dispatch per
-    #: notification.  The engine installs its own observer here via
+    #: Observability seam (events go to ``observer.emit``); the no-op
+    #: default builds nothing.  The engine installs its own observer via
     #: :meth:`set_observer` so scheduler-level events (relegations,
     #: chunk sizing) land in the same trace as engine events.
     observer: Observer = NULL_OBSERVER
 
     def set_observer(self, observer: Observer) -> None:
-        """Install observability hooks; subclasses that own further
+        """Install the observer; subclasses that own further
         instrumented components (chunker, relegation policy) override
         this to propagate the observer to them."""
         self.observer = observer

@@ -25,6 +25,23 @@ from repro.engine.batch import BatchPlan, IterationRecord, PrefillAssignment
 from repro.engine.interface import EngineView, Scheduler
 from repro.engine.kvcache import KVCacheManager
 from repro.engine.prefix import RadixPrefixCache
+from repro.obs.events import (
+    DecodeEvicted,
+    IterationScheduled,
+    KVCacheSnapshot,
+    Preempted,
+    PrefixEvicted,
+    PrefixHit,
+    PrefixInserted,
+    PrefixMissed,
+    RelegationServed,
+    ReplicaCrashed,
+    ReplicaRecovered,
+    RequestCancelled,
+    RequestCompleted,
+    SpanEnd,
+    SpanStart,
+)
 from repro.obs.observer import NULL_OBSERVER, Observer, get_default_observer
 from repro.obs.timing import timed
 from repro.perfmodel.execution import BatchShape, ExecutionModel
@@ -85,7 +102,7 @@ class ReplicaEngine:
         replica_id: Identifier used in multi-replica deployments.
         prefill_sink: Required in ``prefill_only`` mode — receives
             ``(request, now)`` when a prompt finishes prefilling.
-        observer: Observability hooks (tracing/metrics); ``None``
+        observer: Event sink for tracing/metrics; ``None``
             adopts the process default (no-op unless the CLI enabled
             tracing).  Installed on the scheduler too, so scheduler
             events land in the same trace.
@@ -186,12 +203,11 @@ class ReplicaEngine:
 
     def _notify_prefix_evicted(self, blocks: int) -> None:
         assert self.prefix_cache is not None
-        self.observer.on_prefix_evicted(
-            self.replica_id,
-            self.simulator.now,
-            blocks,
-            self.prefix_cache.cached_tokens,
-        )
+        if self.observer is not NULL_OBSERVER:
+            self.observer.emit(PrefixEvicted(
+                self.simulator.now, self.replica_id, blocks,
+                self.prefix_cache.cached_tokens,
+            ))
 
     # --- submission ------------------------------------------------------
 
@@ -278,18 +294,27 @@ class ReplicaEngine:
             )
             if hit:
                 request.prefill_done = hit
-            self.observer.on_prefix_lookup(
-                self.replica_id,
-                request,
-                self.simulator.now,
-                hit,
-                self.prefix_cache.cached_tokens,
-            )
+            if self.observer is not NULL_OBSERVER:
+                self.observer.emit(self._prefix_lookup_event(request, hit))
         self.scheduler.enqueue(request, self.simulator.now)
-        self.observer.on_span_start(
-            "queue", request, self.simulator.now, self.replica_id
-        )
+        if self.observer is not NULL_OBSERVER:
+            self.observer.emit(SpanStart.of(
+                "queue", request, self.simulator.now, self.replica_id
+            ))
         self._maybe_start()
+
+    def _prefix_lookup_event(
+        self, request: Request, hit: int
+    ) -> PrefixHit | PrefixMissed:
+        assert self.prefix_cache is not None
+        now = self.simulator.now
+        cached = self.prefix_cache.cached_tokens
+        if not hit:
+            return PrefixMissed(now, self.replica_id, cached)
+        return PrefixHit(
+            now, self.replica_id, request.request_id, request.qos.name,
+            hit, request.prompt_tokens, cached,
+        )
 
     # --- derived state ----------------------------------------------------
 
@@ -363,18 +388,21 @@ class ReplicaEngine:
             # Prefill queue blocked (e.g. on KV memory) and nothing is
             # decoding; idle until the next arrival or completion.
             return
+        observer = self.observer
+        tracing = observer is not NULL_OBSERVER
         for assignment in assignments:
             request = assignment.request
             self.kv_cache.grow(request.request_id, assignment.tokens)
             self._inflight_prefills.add(request.request_id)
             if request.scheduled_first_time is None:
                 request.scheduled_first_time = now
-                self.observer.on_span_end(
-                    "queue", request, now, self.replica_id
-                )
-                self.observer.on_span_start(
-                    "prefill", request, now, self.replica_id
-                )
+                if tracing:
+                    observer.emit(SpanEnd.of(
+                        "queue", request, now, self.replica_id
+                    ))
+                    observer.emit(SpanStart.of(
+                        "prefill", request, now, self.replica_id
+                    ))
             if (
                 request.relegated
                 and request.request_id not in self._relegation_served_ids
@@ -383,9 +411,10 @@ class ReplicaEngine:
                 # the relegation stall, which latency attribution needs
                 # as an explicit anchor.
                 self._relegation_served_ids.add(request.request_id)
-                self.observer.on_relegation_served(
-                    self.replica_id, request, now, assignment.tokens
-                )
+                if tracing:
+                    observer.emit(RelegationServed.of(
+                        self.replica_id, request, now, assignment.tokens
+                    ))
 
         # Token counts of snapshot members cannot change while the
         # batch is in flight (they only move in _finish_iteration), so
@@ -404,14 +433,15 @@ class ReplicaEngine:
             # Decode-only iterations carry no chunk; counting their
             # zeros would drown the histogram's smallest bucket.
             self.chunk_tokens_hist[plan.prefill_tokens] += 1
-        self.observer.on_iteration_start(
-            self.replica_id, now, exec_time, self.iterations_run,
-            assignments, len(decode_snapshot),
-            # Recomputed per request (not the incremental mirror), so
-            # traced parity runs cross-check the array engine's total.
-            sum(r.context_length for r in decode_snapshot),
-            queue_depth=self.scheduler.queue_length(),
-        )
+        if tracing:
+            observer.emit(IterationScheduled.of(
+                self.replica_id, now, exec_time, self.iterations_run,
+                assignments, len(decode_snapshot),
+                # Recomputed per request (not the incremental mirror),
+                # so traced parity runs cross-check the array engine.
+                sum(r.context_length for r in decode_snapshot),
+                self.scheduler.queue_length(),
+            ))
         self._inflight_event = self.simulator.schedule_after(
             exec_time,
             lambda: self._finish_iteration(plan, shape, exec_time, now),
@@ -470,9 +500,10 @@ class ReplicaEngine:
         self._inflight_prefills.discard(victim.request_id)
         victim.evict()
         self.stall_preemptions += 1
-        self.observer.on_preempted(
-            self.replica_id, victim, self.simulator.now, prefill_lost
-        )
+        self.observer.emit(Preempted(
+            self.simulator.now, self.replica_id, victim.request_id,
+            prefill_lost,
+        ))
         # Park the victim outside the scheduler: re-admitting it right
         # away would let it re-consume the freed blocks before the
         # surviving holder finishes, thrashing forever.
@@ -495,9 +526,10 @@ class ReplicaEngine:
         self._decode_context_total -= context_lost
         request.evict()
         self.decode_evictions += 1
-        self.observer.on_decode_evicted(
-            self.replica_id, request, self.simulator.now, context_lost
-        )
+        self.observer.emit(DecodeEvicted(
+            self.simulator.now, self.replica_id, request.request_id,
+            context_lost,
+        ))
         self.scheduler.enqueue(request, self.simulator.now)
 
     @timed("engine.finish_iteration")
@@ -543,16 +575,27 @@ class ReplicaEngine:
             if request.remaining_prefill == 0:
                 self._on_prefill_finished(request, now)
 
-        self.observer.on_iteration_end(self.replica_id, now, self.kv_cache)
+        self._emit_kv_snapshot(now)
         self._busy = False
         self._maybe_start()
+
+    def _emit_kv_snapshot(self, now: float) -> None:
+        if self.observer is not NULL_OBSERVER:
+            kv = self.kv_cache
+            self.observer.emit(KVCacheSnapshot(
+                now, self.replica_id, kv.used_blocks, kv.capacity_blocks,
+                kv.utilization,
+            ))
 
     def _on_prefill_finished(self, request: Request, now: float) -> None:
         self._inflight_prefills.discard(request.request_id)
         self.scheduler.on_prefill_complete(request, now)
-        self.observer.on_span_end(
-            "prefill", request, now, self.replica_id
-        )
+        observer = self.observer
+        tracing = observer is not NULL_OBSERVER
+        if tracing:
+            observer.emit(SpanEnd.of(
+                "prefill", request, now, self.replica_id
+            ))
         if self.config.prefill_only:
             # First token is produced by the decode node after handoff;
             # the prefill node's job (and its KV holding) ends here.
@@ -567,19 +610,18 @@ class ReplicaEngine:
             created, deduped = self.prefix_cache.insert_and_lock(
                 request.request_id, request.token_ids
             )
-            self.observer.on_prefix_insert(
-                self.replica_id,
-                now,
-                created,
-                deduped,
-                self.prefix_cache.cached_tokens,
-            )
+            if tracing:
+                observer.emit(PrefixInserted(
+                    now, self.replica_id, created, deduped,
+                    self.prefix_cache.cached_tokens,
+                ))
         if request.decoded == 0:
             # The final prefill chunk yields output token 1 (Sec. 2.1).
             request.record_output_token(now)
-            self.observer.on_span_start(
-                "decode", request, now, self.replica_id
-            )
+            if tracing:
+                observer.emit(SpanStart.of(
+                    "decode", request, now, self.replica_id
+                ))
             if self.token_hook is not None:
                 self.token_hook(request, now)
         if request.is_finished:
@@ -587,6 +629,14 @@ class ReplicaEngine:
         else:
             self.decode_queue.append(request)
             self._decode_context_total += request.context_length
+
+    def _emit_completed(self, request: Request, now: float) -> None:
+        observer = self.observer
+        if observer is not NULL_OBSERVER:
+            observer.emit(SpanEnd.of(
+                "decode", request, now, self.replica_id
+            ))
+            observer.emit(RequestCompleted.of(self.replica_id, request, now))
 
     def _complete(self, request: Request, now: float) -> None:
         if request in self.decode_queue:
@@ -596,10 +646,7 @@ class ReplicaEngine:
         if self.prefix_cache is not None:
             self.prefix_cache.unlock(request.request_id)
         self.completed.append(request)
-        self.observer.on_span_end(
-            "decode", request, now, self.replica_id
-        )
-        self.observer.on_request_completed(self.replica_id, request, now)
+        self._emit_completed(request, now)
         self.scheduler.on_request_complete(request, now)
         if self.completion_hook is not None:
             self.completion_hook(request, now)
@@ -677,9 +724,9 @@ class ReplicaEngine:
         self.healthy = False
         self.crash_count += 1
         self._crashed_at = now
-        self.observer.on_replica_crashed(
-            self.replica_id, now, len(lost), kv_blocks_dropped
-        )
+        self.observer.emit(ReplicaCrashed(
+            now, self.replica_id, len(lost), kv_blocks_dropped
+        ))
         return lost
 
     def recover(self) -> None:
@@ -688,9 +735,9 @@ class ReplicaEngine:
             return
         now = self.simulator.now
         self.healthy = True
-        self.observer.on_replica_recovered(
-            self.replica_id, now, now - self._crashed_at
-        )
+        self.observer.emit(ReplicaRecovered(
+            now, self.replica_id, now - self._crashed_at
+        ))
         self._maybe_start()
 
     def set_slowdown(self, factor: float) -> None:
@@ -727,8 +774,9 @@ class ReplicaEngine:
             self.prefix_cache.unlock(request.request_id)
         request.cancel(now, reason)
         self.cancelled.append(request)
-        self.observer.on_request_cancelled(self.replica_id, request, now,
-                                           reason)
+        self.observer.emit(
+            RequestCancelled.of(self.replica_id, request, now, reason)
+        )
         # Freed KV/slots may unblock queued work.
         if self._pending_handoffs:
             self._admit_handoffs()

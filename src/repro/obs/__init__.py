@@ -30,9 +30,10 @@ The subsystem's legs (see ``docs/OBSERVABILITY.md``):
 * :mod:`repro.obs.timing` — the ``obs.timed`` wall-clock profiler for
   scheduler hot paths.
 
-Everything hangs off the :class:`Observer` protocol, whose no-op
-default (:data:`NULL_OBSERVER`) keeps instrumentation free when
-disabled and guarantees tracing never perturbs scheduling.
+Everything hangs off the :class:`Observer` protocol's one method,
+``emit(event)``; its no-op default (:data:`NULL_OBSERVER`) keeps
+instrumentation free when disabled (hot producers then build no
+event) and guarantees tracing never perturbs scheduling.
 """
 
 from repro.obs.audit import (

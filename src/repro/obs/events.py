@@ -1,15 +1,20 @@
 """Typed trace events: the vocabulary of iteration-level telemetry.
 
 Every scheduling-relevant occurrence in a simulated run maps to one of
-the dataclasses below.  Events serialize to flat JSON objects via
-:meth:`TraceEvent.to_dict` (one object per JSONL line) and the same
-schema drives :func:`validate_event`, which the CI smoke test and the
-``repro trace --validate`` command use to keep recorded traces honest.
+the dataclasses below.  Producers (engine, schedulers, cluster,
+gateway) build the event and hand it to
+:meth:`~repro.obs.observer.Observer.emit`.  Recorded events serialize
+to flat JSON objects via :meth:`TraceEvent.to_dict` (one object per
+JSONL line) and the same schema drives :func:`validate_event`, which
+the CI smoke test and the ``repro trace --validate`` command use to
+keep recorded traces honest.  Metric-only events
+(``recorded = False``) feed metric series but never reach a trace;
+they are outside :data:`EVENT_TYPES` and the schema.
 
 Design constraints:
 
 * events are immutable and carry only plain scalars / tuples, so
-  recording can never alias mutable engine state;
+  observers can never alias or mutate engine state;
 * non-finite floats are serialized as ``null`` (JSON has no ``NaN``);
 * the ``kind`` discriminator is stable across versions — downstream
   tooling switches on it.
@@ -21,8 +26,13 @@ import dataclasses
 import math
 import types
 import typing
-from dataclasses import dataclass
-from typing import Any, ClassVar
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, ClassVar, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
+    from repro.core.chunking import ChunkDecision
+    from repro.core.request import Request
+    from repro.engine.batch import PrefillAssignment
 
 
 #: Trace format version, written by tooling that needs to gate on
@@ -63,20 +73,44 @@ class TraceEvent:
     """Base class: every event has a simulated timestamp ``ts``."""
 
     kind: ClassVar[str] = "event"
+    #: False for metric-only events, which observers see but no trace
+    #: records.
+    recorded: ClassVar[bool] = True
 
     ts: float
 
     def to_dict(self) -> dict[str, Any]:
         """Flat JSON-safe payload with the ``kind`` discriminator."""
+        cls = type(self)
+        names = _FIELD_NAMES.get(cls)
+        if names is None:
+            names = _FIELD_NAMES[cls] = tuple(
+                f.name for f in _trace_fields(cls)
+            )
         payload: dict[str, Any] = {"kind": self.kind}
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
+        for name in names:
+            value = getattr(self, name)
             if isinstance(value, float) and not math.isfinite(value):
                 value = None
             elif isinstance(value, tuple):
                 value = list(value)
-            payload[field.name] = value
+            payload[name] = value
         return payload
+
+
+#: Event class -> its serialized field names in declaration order,
+#: filled on first serialization.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+#: Field metadata marking a value observers read but traces omit.
+_UNRECORDED = {"recorded": False}
+
+
+def _trace_fields(cls: type[TraceEvent]) -> list[dataclasses.Field]:
+    return [
+        f for f in dataclasses.fields(cls)
+        if f.metadata.get("recorded", True)
+    ]
 
 
 @dataclass(frozen=True)
@@ -102,6 +136,19 @@ class IterationScheduled(TraceEvent):
     #: planned; -1 in schema-v1 traces recorded before the field existed.
     queue_depth: int = -1
 
+    @classmethod
+    def of(
+        cls, replica_id: int, now: float, exec_time: float, iteration: int,
+        assignments: "Sequence[PrefillAssignment]", num_decodes: int,
+        decode_context_tokens: int, queue_depth: int,
+    ) -> "IterationScheduled":
+        return cls(
+            now, replica_id, iteration, exec_time,
+            sum(a.tokens for a in assignments), len(assignments),
+            num_decodes, decode_context_tokens,
+            tuple(a.request.request_id for a in assignments), queue_depth,
+        )
+
 
 @dataclass(frozen=True)
 class ChunkSized(TraceEvent):
@@ -113,6 +160,15 @@ class ChunkSized(TraceEvent):
     latency_budget: float | None
     predicted_latency: float
     num_decodes: int
+
+    @classmethod
+    def of(
+        cls, now: float, decision: "ChunkDecision", num_decodes: int
+    ) -> "ChunkSized":
+        return cls(
+            now, decision.prefill_budget, decision.latency_budget,
+            decision.predicted_latency, num_decodes,
+        )
 
 
 @dataclass(frozen=True)
@@ -145,6 +201,16 @@ class RelegationServed(TraceEvent):
     tier: str
     tokens: int
     waited: float
+
+    @classmethod
+    def of(
+        cls, replica_id: int, request: "Request", now: float, tokens: int
+    ) -> "RelegationServed":
+        relegated_at = request.relegated_time
+        return cls(
+            now, replica_id, request.request_id, request.qos.name, tokens,
+            now - relegated_at if relegated_at is not None else 0.0,
+        )
 
 
 @dataclass(frozen=True)
@@ -193,6 +259,32 @@ class RequestCompleted(TraceEvent):
     #: (TTLT-governed); "" in schema-v1 traces, where consumers fall
     #: back to tier-name conventions.
     qos_class: str = ""
+    #: Output tokens produced (for the mean-TBT metric; not recorded).
+    decoded: int = field(default=0, metadata=_UNRECORDED)
+
+    @classmethod
+    def of(
+        cls, replica_id: int, request: "Request", now: float
+    ) -> "RequestCompleted":
+        return cls(
+            ts=now,
+            replica_id=replica_id,
+            request_id=request.request_id,
+            tier=request.qos.name,
+            arrival_time=request.arrival_time,
+            scheduled_first_time=request.scheduled_first_time,
+            first_token_time=request.first_token_time,
+            completion_time=(
+                request.completion_time
+                if request.completion_time is not None
+                else now
+            ),
+            relegated=request.relegated,
+            violated=request.violated_deadline,
+            evictions=request.evictions,
+            qos_class=request.qos.qos_class.value,
+            decoded=request.decoded,
+        )
 
 
 @dataclass(frozen=True)
@@ -278,6 +370,15 @@ class RequestCancelled(TraceEvent):
     reason: str
     waited: float
 
+    @classmethod
+    def of(
+        cls, replica_id: int, request: "Request", now: float, reason: str
+    ) -> "RequestCancelled":
+        return cls(
+            now, replica_id, request.request_id, request.qos.name, reason,
+            now - request.arrival_time,
+        )
+
 
 @dataclass(frozen=True)
 class FaultSkipped(TraceEvent):
@@ -326,9 +427,8 @@ class PrefixHit(TraceEvent):
 
     ``hit_tokens`` prefill tokens were skipped (the scheduler only
     ever plans the uncached suffix); ``cached_tokens`` is the tree's
-    resident footprint after locking the matched path.  Misses emit no
-    event — they only bump the ``repro_kv_prefix_misses_total``
-    counter.
+    resident footprint after locking the matched path.  A miss is the
+    metric-only :class:`PrefixMissed`.
     """
 
     kind: ClassVar[str] = "prefix_hit"
@@ -372,7 +472,25 @@ class GatewayShed(TraceEvent):
 
 
 @dataclass(frozen=True)
-class SpanStart(TraceEvent):
+class _SpanEvent(TraceEvent):
+    """Fields shared by :class:`SpanStart` and :class:`SpanEnd`."""
+
+    name: str
+    request_id: int
+    replica_id: int = -1
+    tier: str = ""
+
+    @classmethod
+    def of(
+        cls, name: str, request: "Request", now: float,
+        replica_id: int = -1,
+    ):
+        return cls(now, name, request.request_id, replica_id,
+                   request.qos.name)
+
+
+@dataclass(frozen=True)
+class SpanStart(_SpanEvent):
     """A request entered a lifecycle stage (see :mod:`repro.obs.spans`).
 
     ``name`` is the stage: ``gateway`` (offered to the serving front
@@ -384,39 +502,84 @@ class SpanStart(TraceEvent):
 
     kind: ClassVar[str] = "span_start"
 
-    name: str
-    request_id: int
-    replica_id: int = -1
-    tier: str = ""
-
-    def to_dict(self) -> dict[str, Any]:
-        # Span markers fire several times per request on the engine's
-        # hot path; an unrolled payload (same key order as the generic
-        # reflective one) keeps the spans-on overhead within the bound
-        # documented in docs/OBSERVABILITY.md.
-        ts = self.ts
-        return {
-            "kind": self.kind,
-            "ts": ts if math.isfinite(ts) else None,
-            "name": self.name,
-            "request_id": self.request_id,
-            "replica_id": self.replica_id,
-            "tier": self.tier,
-        }
-
 
 @dataclass(frozen=True)
-class SpanEnd(TraceEvent):
+class SpanEnd(_SpanEvent):
     """A request left a lifecycle stage opened by :class:`SpanStart`."""
 
     kind: ClassVar[str] = "span_end"
 
-    name: str
-    request_id: int
-    replica_id: int = -1
-    tier: str = ""
 
-    to_dict = SpanStart.to_dict
+# --- metric-only events: observed, never recorded -----------------------
+
+
+@dataclass(frozen=True)
+class RelegationScan(TraceEvent):
+    """A relegation feasibility scan finished (possibly demoting none)."""
+
+    kind: ClassVar[str] = "relegation_scan"
+    recorded: ClassVar[bool] = False
+
+    important_saved: int
+
+
+@dataclass(frozen=True)
+class PrefixMissed(TraceEvent):
+    """An arrival's radix-cache lookup matched no blocks."""
+
+    kind: ClassVar[str] = "prefix_missed"
+    recorded: ClassVar[bool] = False
+
+    replica_id: int
+    cached_tokens: int
+
+
+@dataclass(frozen=True)
+class PrefixInserted(TraceEvent):
+    """A finished prefill published its prompt blocks into the radix
+    tree: ``new_blocks`` transferred ownership, ``deduped_blocks``
+    freed duplicates of already-shared blocks."""
+
+    kind: ClassVar[str] = "prefix_inserted"
+    recorded: ClassVar[bool] = False
+
+    replica_id: int
+    new_blocks: int
+    deduped_blocks: int
+    cached_tokens: int
+
+
+@dataclass(frozen=True)
+class PrefixEvicted(TraceEvent):
+    """Memory pressure reclaimed unreferenced prefix blocks (LRU)."""
+
+    kind: ClassVar[str] = "prefix_evicted"
+    recorded: ClassVar[bool] = False
+
+    replica_id: int
+    blocks: int
+    cached_tokens: int
+
+
+@dataclass(frozen=True)
+class TokenStreamed(TraceEvent):
+    """The gateway delivered one output token to a consumer."""
+
+    kind: ClassVar[str] = "token_streamed"
+    recorded: ClassVar[bool] = False
+
+    request_id: int
+    tier: str
+
+
+@dataclass(frozen=True)
+class FleetComposition(TraceEvent):
+    """Provisioned replicas per hardware class after a resize."""
+
+    kind: ClassVar[str] = "fleet_composition"
+    recorded: ClassVar[bool] = False
+
+    by_hardware: tuple[tuple[str, int], ...]
 
 
 #: kind -> event class, the closed registry of trace event types.
@@ -452,8 +615,8 @@ def _checkers(cls: type[TraceEvent]) -> dict[str, tuple[type, ...]]:
     """Per-field accepted runtime types, derived from annotations."""
     out: dict[str, tuple[type, ...]] = {}
     hints = typing.get_type_hints(cls)
-    for field in dataclasses.fields(cls):
-        hint = hints[field.name]
+    for f in _trace_fields(cls):
+        hint = hints[f.name]
         origin = typing.get_origin(hint)
         accepted: tuple[type, ...]
         if origin is typing.Union or origin is types.UnionType:
@@ -464,7 +627,7 @@ def _checkers(cls: type[TraceEvent]) -> dict[str, tuple[type, ...]]:
             ) + (type(None),)
         else:
             accepted = _scalar_types(hint)
-        out[field.name] = accepted
+        out[f.name] = accepted
     return out
 
 
@@ -496,10 +659,10 @@ def _required_fields(cls: type[TraceEvent]) -> frozenset[str]:
     validate, and the reader reconstructs the default.
     """
     return frozenset(
-        field.name
-        for field in dataclasses.fields(cls)
-        if field.default is dataclasses.MISSING
-        and field.default_factory is dataclasses.MISSING
+        f.name
+        for f in _trace_fields(cls)
+        if f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
     )
 
 

@@ -109,7 +109,7 @@ def build_live_snapshot(gateway: Any) -> dict[str, Any]:
     fleet = fleet_snapshot() if fleet_snapshot is not None else None
     if fleet is not None:
         snapshot["fleet"] = fleet
-    observer = gateway._observer
+    observer = gateway.session.observer
     registry = getattr(observer, "registry", None)
     if registry is not None:
         snapshot["latency_quantiles"] = _sketch_quantiles(registry)

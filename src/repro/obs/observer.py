@@ -1,17 +1,19 @@
 """The observability seam between the engine and the recorders.
 
 :class:`Observer` is the single protocol the engine, schedulers,
-chunker and relegation policy call into.  The base class is a no-op on
-every hook, so instrumentation costs one dynamic dispatch when
-observability is off, and — critically — an observer can never change
-scheduling behaviour: hooks receive read-only facts *after* each
-decision and return nothing, keeping the simulation deterministic with
-or without tracing.
+chunker, relegation policy, cluster and gateway call into: producers
+build a frozen :mod:`~repro.obs.events` record from plain scalars and
+hand it to :meth:`Observer.emit`.  The base class is a no-op, and hot
+producers skip building the record at all when the observer is
+:data:`NULL_OBSERVER`, so instrumentation is free when observability
+is off.  An observer can never change scheduling behaviour: events
+describe decisions already made, carry no live engine state, and
+``emit`` returns nothing, keeping the simulation deterministic with or
+without tracing.
 
-:class:`TracingObserver` is the production implementation: it turns
-hooks into typed :mod:`~repro.obs.events` pushed at a
-:class:`~repro.obs.trace.TraceRecorder`, and into series in a
-:class:`~repro.obs.metrics.MetricsRegistry`.
+:class:`TracingObserver` is the production implementation: it passes
+recorded events to a :class:`~repro.obs.trace.TraceRecorder` and
+updates series in a :class:`~repro.obs.metrics.MetricsRegistry`.
 
 A process-wide default (see :func:`set_default_observer`) lets the
 experiment CLI enable tracing for *every* engine built during a run
@@ -21,20 +23,24 @@ without threading an argument through each experiment driver.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from repro.obs.events import (
-    ChunkSized,
     DecodeEvicted,
     FaultSkipped,
+    FleetComposition,
     FleetResized,
     GatewayAdmitted,
     GatewayShed,
     IterationScheduled,
     KVCacheSnapshot,
     Preempted,
+    PrefixEvicted,
     PrefixHit,
+    PrefixInserted,
+    PrefixMissed,
     Relegated,
+    RelegationScan,
     RelegationServed,
     ReplicaCrashed,
     ReplicaRecovered,
@@ -43,8 +49,8 @@ from repro.obs.events import (
     RequestCompleted,
     RequestRetried,
     RequestShed,
-    SpanEnd,
-    SpanStart,
+    TokenStreamed,
+    TraceEvent,
 )
 from repro.obs.metrics import (
     DEFAULT_CHUNK_BUCKETS,
@@ -54,239 +60,16 @@ from repro.obs.metrics import (
 from repro.obs.sketch import BurnRateTracker
 from repro.obs.trace import RingSink, TraceRecorder
 
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from repro.core.chunking import ChunkDecision
-    from repro.core.relegation import RelegationPlan
-    from repro.core.request import Request
-    from repro.engine.batch import PrefillAssignment
-    from repro.engine.kvcache import KVCacheManager
-
 
 class Observer:
-    """No-op observability hooks; subclass and override what you need.
+    """No-op observability seam; subclass and override :meth:`emit`.
 
-    Hooks fire *after* the decision they describe.  Implementations
-    must not mutate any argument: requests, prefill assignments and
-    the KV manager are the engine's live state, shared for cheapness,
-    and tracing is required to be side-effect-free (the determinism
-    regression test pins this).
+    Events arrive *after* the decision they describe.  They are frozen
+    and hold plain scalars, so an observer cannot reach engine state.
     """
 
-    def on_iteration_start(
-        self,
-        replica_id: int,
-        now: float,
-        exec_time: float,
-        iteration: int,
-        prefill_assignments: "Sequence[PrefillAssignment]",
-        num_decodes: int,
-        decode_context_tokens: int,
-        queue_depth: int = -1,
-    ) -> None:
-        """An iteration was planned; it will finish at ``now + exec_time``.
-
-        The batch runs ``prefill_assignments`` plus one token for each
-        of ``num_decodes`` decoding requests, whose contexts total
-        ``decode_context_tokens``.  ``queue_depth`` is the scheduler
-        backlog at dispatch (-1 when the caller does not know it).
-        """
-
-    def on_iteration_end(
-        self, replica_id: int, now: float, kv_cache: "KVCacheManager"
-    ) -> None:
-        """The replica's in-flight iteration completed at ``now``."""
-
-    def on_chunk_sized(
-        self, now: float, decision: "ChunkDecision", num_decodes: int
-    ) -> None:
-        """The dynamic chunker converted slack into a token budget."""
-
-    def on_relegated(self, request: "Request", now: float) -> None:
-        """Eager relegation demoted ``request``."""
-
-    def on_relegation_scan(
-        self, now: float, plan: "RelegationPlan"
-    ) -> None:
-        """A relegation feasibility scan finished (may be empty)."""
-
-    def on_relegation_served(
-        self,
-        replica_id: int,
-        request: "Request",
-        now: float,
-        tokens: int,
-    ) -> None:
-        """A relegated request received its first opportunistic chunk."""
-
-    def on_preempted(
-        self,
-        replica_id: int,
-        request: "Request",
-        now: float,
-        prefill_tokens_lost: int,
-    ) -> None:
-        """A partial prefill lost its KV to break a memory deadlock."""
-
-    def on_decode_evicted(
-        self,
-        replica_id: int,
-        request: "Request",
-        now: float,
-        context_tokens_lost: int,
-    ) -> None:
-        """A decode was evicted (recompute) under KV pressure."""
-
-    def on_request_completed(
-        self, replica_id: int, request: "Request", now: float
-    ) -> None:
-        """``request`` produced its final output token."""
-
-    # --- prefix reuse hooks (repro.engine.prefix) -------------------------
-
-    def on_prefix_lookup(
-        self,
-        replica_id: int,
-        request: "Request",
-        now: float,
-        hit_tokens: int,
-        cached_tokens: int,
-    ) -> None:
-        """The radix cache was consulted at admission; ``hit_tokens``
-        prefill tokens were skipped (0 = miss).  ``cached_tokens`` is
-        the tree's resident footprint after the lookup."""
-
-    def on_prefix_insert(
-        self,
-        replica_id: int,
-        now: float,
-        new_blocks: int,
-        deduped_blocks: int,
-        cached_tokens: int,
-    ) -> None:
-        """A finished prefill published its prompt blocks into the
-        radix tree: ``new_blocks`` transferred ownership,
-        ``deduped_blocks`` freed duplicates of already-shared blocks."""
-
-    def on_prefix_evicted(
-        self,
-        replica_id: int,
-        now: float,
-        blocks: int,
-        cached_tokens: int,
-    ) -> None:
-        """Memory pressure reclaimed ``blocks`` unreferenced prefix
-        blocks (LRU order)."""
-
-    # --- fault hooks (repro.faults) --------------------------------------
-
-    def on_replica_crashed(
-        self,
-        replica_id: int,
-        now: float,
-        lost_requests: int,
-        kv_blocks_dropped: int,
-    ) -> None:
-        """A replica failed, losing its KV cache and in-flight batch."""
-
-    def on_replica_recovered(
-        self, replica_id: int, now: float, downtime: float
-    ) -> None:
-        """A crashed replica rejoined with a cold cache."""
-
-    def on_replica_slowdown(
-        self, replica_id: int, now: float, factor: float
-    ) -> None:
-        """A replica's straggler multiplier changed (1.0 = nominal)."""
-
-    def on_request_retried(
-        self,
-        request: "Request",
-        now: float,
-        attempt: int,
-        backoff: float,
-        from_replica: int,
-    ) -> None:
-        """A crash-lost request was scheduled for re-dispatch."""
-
-    def on_request_shed(
-        self, request: "Request", now: float, alive_fraction: float
-    ) -> None:
-        """Admission control refused an arrival under degraded capacity."""
-
-    def on_request_cancelled(
-        self, replica_id: int, request: "Request", now: float, reason: str
-    ) -> None:
-        """An unfinished request was abandoned (timeout / retry budget).
-
-        ``replica_id`` is -1 when the request was not resident on any
-        replica (e.g. cancelled while awaiting re-dispatch).
-        """
-
-    def on_fault_skipped(
-        self, replica_id: int, now: float, fault_kind: str, reason: str
-    ) -> None:
-        """A fault plan event targeting ``replica_id`` resolved to a
-        no-op (the slot was drained, released or never provisioned)."""
-
-    # --- fleet hooks (repro.cluster.fleet) --------------------------------
-
-    def on_fleet_resized(
-        self,
-        now: float,
-        action: str,
-        replica_id: int,
-        hardware: str,
-        fleet_size: int,
-        reason: str = "",
-        by_hardware: "dict[str, int] | None" = None,
-    ) -> None:
-        """The elastic fleet changed size: ``action`` is ``provision``,
-        ``ready``, ``drain`` or ``release``; ``fleet_size`` counts
-        replicas provisioned and not yet released after the action.
-        ``by_hardware`` is the full post-action per-class composition
-        (for gauges; not part of the trace event)."""
-
-    # --- gateway hooks (repro.serve) --------------------------------------
-
-    def on_gateway_admitted(
-        self, request: "Request", now: float, queue_depth: int
-    ) -> None:
-        """The online gateway accepted ``request`` into a replica."""
-
-    def on_gateway_shed(
-        self,
-        request: "Request",
-        now: float,
-        reason: str,
-        queue_depth: int,
-    ) -> None:
-        """The gateway refused or evicted ``request`` (``reason`` is
-        ``"rate_limit"`` or ``"backpressure"``)."""
-
-    def on_token_streamed(self, request: "Request", now: float) -> None:
-        """One output token was delivered to a streaming consumer."""
-
-    # --- span hooks (repro.obs.spans) -------------------------------------
-
-    def on_span_start(
-        self,
-        name: str,
-        request: "Request",
-        now: float,
-        replica_id: int = -1,
-    ) -> None:
-        """``request`` entered lifecycle stage ``name`` (``gateway``,
-        ``admission``, ``dispatch``, ``queue``, ``prefill``,
-        ``decode``).  ``replica_id`` is -1 outside any replica."""
-
-    def on_span_end(
-        self,
-        name: str,
-        request: "Request",
-        now: float,
-        replica_id: int = -1,
-    ) -> None:
-        """``request`` left the stage opened by :meth:`on_span_start`."""
+    def emit(self, event: TraceEvent) -> None:
+        """Observe one event (recorded kind or metric-only)."""
 
 
 #: Shared no-op instance — the default everywhere an observer plugs in.
@@ -294,29 +77,21 @@ NULL_OBSERVER = Observer()
 
 
 class TracingObserver(Observer):
-    """Records typed events and metric series from the hook stream.
+    """Records typed events and metric series from the event stream.
 
     Args:
-        recorder: Destination for trace events; a fresh recorder with
-            no sinks is created when omitted (metrics-only mode).
+        recorder: Destination for recorded events; a fresh recorder
+            with no sinks is created when omitted (metrics-only mode).
         registry: Metrics registry; created when omitted.
-        kv_snapshot_every: Emit a :class:`KVCacheSnapshot` event every
-            Nth iteration per replica (1 = every iteration).  Metrics
-            gauges update every iteration regardless.
     """
 
     def __init__(
         self,
         recorder: TraceRecorder | None = None,
         registry: MetricsRegistry | None = None,
-        kv_snapshot_every: int = 1,
     ) -> None:
-        if kv_snapshot_every < 1:
-            raise ValueError("kv_snapshot_every must be >= 1")
         self.recorder = recorder if recorder is not None else TraceRecorder()
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.kv_snapshot_every = int(kv_snapshot_every)
-        self._iters_since_snapshot: dict[int, int] = {}
 
         reg = self.registry
         self._iterations = reg.counter(
@@ -488,356 +263,142 @@ class TracingObserver(Observer):
             if isinstance(sink, RingSink) and sink.on_drop is None:
                 sink.on_drop = self._events_dropped.inc
 
-    # --- engine hooks ----------------------------------------------------
+        def count(family, *fields: str) -> Callable:
+            """One increment of the series the event's ``fields`` label."""
+            return lambda event: family.labels(
+                *[getattr(event, name) for name in fields]
+            ).inc()
 
-    def on_iteration_start(
-        self, replica_id, now, exec_time, iteration, prefill_assignments,
-        num_decodes, decode_context_tokens, queue_depth: int = -1,
-    ) -> None:
-        prefill_tokens = sum(a.tokens for a in prefill_assignments)
-        self.recorder.emit(IterationScheduled(
-            ts=now,
-            replica_id=replica_id,
-            iteration=iteration,
-            dur=exec_time,
-            prefill_tokens=prefill_tokens,
-            num_prefills=len(prefill_assignments),
-            num_decodes=num_decodes,
-            decode_context_tokens=decode_context_tokens,
-            prefill_request_ids=tuple(
-                a.request.request_id for a in prefill_assignments
+        #: Event type -> its metric update (types with none are absent).
+        self._updates: dict[type, Callable] = {
+            IterationScheduled: self._iteration_scheduled,
+            KVCacheSnapshot: self._kv_cache_snapshot,
+            Relegated: count(self._relegations, "tier"),
+            RelegationScan: self._relegation_scan,
+            RelegationServed: count(self._relegations_served, "tier"),
+            Preempted: count(self._preemptions, "replica_id"),
+            DecodeEvicted: count(self._decode_evictions, "replica_id"),
+            RequestCompleted: self._request_completed,
+            PrefixHit: self._prefix_hit,
+            PrefixMissed: self._prefix_missed,
+            PrefixInserted: self._prefix_inserted,
+            PrefixEvicted: self._prefix_evicted,
+            ReplicaCrashed: count(self._crashes, "replica_id"),
+            ReplicaRecovered: count(self._recoveries, "replica_id"),
+            ReplicaSlowdown: self._replica_slowdown,
+            RequestRetried: count(self._retries, "tier"),
+            RequestShed: count(self._shed, "tier"),
+            RequestCancelled: count(self._cancellations, "tier", "reason"),
+            FaultSkipped: count(
+                self._faults_skipped, "fault_kind", "reason"
             ),
-            queue_depth=queue_depth,
-        ))
-        replica = str(replica_id)
+            FleetResized: self._fleet_resized,
+            FleetComposition: self._fleet_composition,
+            GatewayAdmitted: count(self._gateway_admitted, "tier"),
+            GatewayShed: count(self._gateway_shed, "tier", "reason"),
+            TokenStreamed: count(self._gateway_tokens_streamed, "tier"),
+        }
+
+    def emit(self, event: TraceEvent) -> None:
+        if event.recorded:
+            self.recorder.emit(event)
+        update = self._updates.get(type(event))
+        if update is not None:
+            update(event)
+
+    # --- metric updates beyond a single increment ------------------------
+
+    def _iteration_scheduled(self, event: IterationScheduled) -> None:
+        replica = str(event.replica_id)
         self._iterations.labels(replica).inc()
-        self._prefill_tokens.labels(replica).inc(prefill_tokens)
-        self._decode_tokens.labels(replica).inc(num_decodes)
-        self._exec_seconds.observe(exec_time)
-        self._chunk_hist.observe(prefill_tokens)
+        self._prefill_tokens.labels(replica).inc(event.prefill_tokens)
+        self._decode_tokens.labels(replica).inc(event.num_decodes)
+        self._exec_seconds.observe(event.dur)
+        self._chunk_hist.observe(event.prefill_tokens)
 
-    def on_iteration_end(self, replica_id, now, kv_cache) -> None:
-        self._kv_utilization.labels(str(replica_id)).set(
-            kv_cache.utilization
+    def _kv_cache_snapshot(self, event: KVCacheSnapshot) -> None:
+        self._kv_utilization.labels(str(event.replica_id)).set(
+            event.utilization
         )
-        since = self._iters_since_snapshot.get(replica_id, 0) + 1
-        if since >= self.kv_snapshot_every:
-            self._iters_since_snapshot[replica_id] = 0
-            self.recorder.emit(KVCacheSnapshot(
-                ts=now,
-                replica_id=replica_id,
-                used_blocks=kv_cache.used_blocks,
-                capacity_blocks=kv_cache.capacity_blocks,
-                utilization=kv_cache.utilization,
-            ))
-        else:
-            self._iters_since_snapshot[replica_id] = since
 
-    # --- scheduler / core hooks ------------------------------------------
-
-    def on_chunk_sized(self, now, decision, num_decodes) -> None:
-        self.recorder.emit(ChunkSized(
-            ts=now,
-            chunk_budget=decision.prefill_budget,
-            latency_budget=decision.latency_budget,
-            predicted_latency=decision.predicted_latency,
-            num_decodes=num_decodes,
-        ))
-
-    def on_relegated(self, request, now) -> None:
-        self.recorder.emit(Relegated(
-            ts=now,
-            request_id=request.request_id,
-            tier=request.qos.name,
-            important=request.important,
-            remaining_prefill=request.remaining_prefill,
-        ))
-        self._relegations.labels(request.qos.name).inc()
-
-    def on_relegation_scan(self, now, plan) -> None:
+    def _relegation_scan(self, event: RelegationScan) -> None:
         self._relegation_scans.inc()
-        if plan.important_saved:
-            self._important_saved.inc(plan.important_saved)
+        if event.important_saved:
+            self._important_saved.inc(event.important_saved)
 
-    def on_relegation_served(
-        self, replica_id, request, now, tokens
-    ) -> None:
-        relegated_at = request.relegated_time
-        self.recorder.emit(RelegationServed(
-            ts=now,
-            replica_id=replica_id,
-            request_id=request.request_id,
-            tier=request.qos.name,
-            tokens=tokens,
-            waited=(
-                now - relegated_at if relegated_at is not None else 0.0
-            ),
-        ))
-        self._relegations_served.labels(request.qos.name).inc()
-
-    def on_preempted(
-        self, replica_id, request, now, prefill_tokens_lost
-    ) -> None:
-        self.recorder.emit(Preempted(
-            ts=now,
-            replica_id=replica_id,
-            request_id=request.request_id,
-            prefill_tokens_lost=prefill_tokens_lost,
-        ))
-        self._preemptions.labels(str(replica_id)).inc()
-
-    def on_decode_evicted(
-        self, replica_id, request, now, context_tokens_lost
-    ) -> None:
-        self.recorder.emit(DecodeEvicted(
-            ts=now,
-            replica_id=replica_id,
-            request_id=request.request_id,
-            context_tokens_lost=context_tokens_lost,
-        ))
-        self._decode_evictions.labels(str(replica_id)).inc()
-
-    def on_request_completed(self, replica_id, request, now) -> None:
-        violated = request.violated_deadline
-        self.recorder.emit(RequestCompleted(
-            ts=now,
-            replica_id=replica_id,
-            request_id=request.request_id,
-            tier=request.qos.name,
-            arrival_time=request.arrival_time,
-            scheduled_first_time=request.scheduled_first_time,
-            first_token_time=request.first_token_time,
-            completion_time=(
-                request.completion_time
-                if request.completion_time is not None
-                else now
-            ),
-            relegated=request.relegated,
-            violated=violated,
-            evictions=request.evictions,
-            qos_class=request.qos.qos_class.value,
-        ))
-        tier = request.qos.name
+    def _request_completed(self, event: RequestCompleted) -> None:
+        tier = event.tier
         self._completed.labels(tier).inc()
-        if violated:
+        if event.violated:
             self._violations.labels(tier).inc()
-        ttft = request.ttft
-        if ttft is not None:
-            self._ttft_sketch.labels(tier).observe(ttft)
-        ttlt = request.ttlt
-        if ttlt is not None:
-            self._ttlt_sketch.labels(tier).observe(ttlt)
-        if (
-            request.first_token_time is not None
-            and request.completion_time is not None
-            and request.decoded > 1
-        ):
-            self._tbt_sketch.labels(tier).observe(
-                (request.completion_time - request.first_token_time)
-                / (request.decoded - 1)
+        first_token_time = event.first_token_time
+        if first_token_time is not None:
+            self._ttft_sketch.labels(tier).observe(
+                first_token_time - event.arrival_time
             )
-        self.burn_rate.observe(now, violated)
+        self._ttlt_sketch.labels(tier).observe(
+            event.completion_time - event.arrival_time
+        )
+        if first_token_time is not None and event.decoded > 1:
+            self._tbt_sketch.labels(tier).observe(
+                (event.completion_time - first_token_time)
+                / (event.decoded - 1)
+            )
+        self.burn_rate.observe(event.ts, event.violated)
 
-    # --- prefix reuse hooks -----------------------------------------------
+    def _prefix_hit(self, event: PrefixHit) -> None:
+        replica = str(event.replica_id)
+        self._prefix_hits.labels(replica).inc()
+        self._prefix_hit_tokens.labels(replica).inc(event.hit_tokens)
+        self._prefix_cached_tokens.labels(replica).set(event.cached_tokens)
 
-    def on_prefix_lookup(
-        self, replica_id, request, now, hit_tokens, cached_tokens
-    ) -> None:
-        replica = str(replica_id)
-        if hit_tokens > 0:
-            self.recorder.emit(PrefixHit(
-                ts=now,
-                replica_id=replica_id,
-                request_id=request.request_id,
-                tier=request.qos.name,
-                hit_tokens=hit_tokens,
-                prompt_tokens=request.prompt_tokens,
-                cached_tokens=cached_tokens,
-            ))
-            self._prefix_hits.labels(replica).inc()
-            self._prefix_hit_tokens.labels(replica).inc(hit_tokens)
-        else:
-            self._prefix_misses.labels(replica).inc()
-        self._prefix_cached_tokens.labels(replica).set(cached_tokens)
+    def _prefix_missed(self, event: PrefixMissed) -> None:
+        replica = str(event.replica_id)
+        self._prefix_misses.labels(replica).inc()
+        self._prefix_cached_tokens.labels(replica).set(event.cached_tokens)
 
-    def on_prefix_insert(
-        self, replica_id, now, new_blocks, deduped_blocks, cached_tokens
-    ) -> None:
-        self._prefix_cached_tokens.labels(str(replica_id)).set(
-            cached_tokens
+    def _prefix_inserted(self, event: PrefixInserted) -> None:
+        self._prefix_cached_tokens.labels(str(event.replica_id)).set(
+            event.cached_tokens
         )
 
-    def on_prefix_evicted(
-        self, replica_id, now, blocks, cached_tokens
-    ) -> None:
-        replica = str(replica_id)
-        self._prefix_evictions.labels(replica).inc(blocks)
-        self._prefix_cached_tokens.labels(replica).set(cached_tokens)
+    def _prefix_evicted(self, event: PrefixEvicted) -> None:
+        replica = str(event.replica_id)
+        self._prefix_evictions.labels(replica).inc(event.blocks)
+        self._prefix_cached_tokens.labels(replica).set(event.cached_tokens)
 
-    # --- fault hooks ------------------------------------------------------
+    def _replica_slowdown(self, event: ReplicaSlowdown) -> None:
+        if event.factor != 1.0:  # 1.0 closes a window, it does not open one
+            self._slowdowns.labels(str(event.replica_id)).inc()
 
-    def on_replica_crashed(
-        self, replica_id, now, lost_requests, kv_blocks_dropped
-    ) -> None:
-        self.recorder.emit(ReplicaCrashed(
-            ts=now,
-            replica_id=replica_id,
-            lost_requests=lost_requests,
-            kv_blocks_dropped=kv_blocks_dropped,
-        ))
-        self._crashes.labels(str(replica_id)).inc()
+    def _fleet_resized(self, event: FleetResized) -> None:
+        self._fleet_resizes.labels(event.action, event.hardware).inc()
+        self._fleet_size_gauge.set(event.fleet_size)
 
-    def on_replica_recovered(self, replica_id, now, downtime) -> None:
-        self.recorder.emit(ReplicaRecovered(
-            ts=now, replica_id=replica_id, downtime=downtime,
-        ))
-        self._recoveries.labels(str(replica_id)).inc()
-
-    def on_replica_slowdown(self, replica_id, now, factor) -> None:
-        self.recorder.emit(ReplicaSlowdown(
-            ts=now, replica_id=replica_id, factor=factor,
-        ))
-        if factor != 1.0:  # 1.0 closes a window, it does not open one
-            self._slowdowns.labels(str(replica_id)).inc()
-
-    def on_request_retried(
-        self, request, now, attempt, backoff, from_replica
-    ) -> None:
-        self.recorder.emit(RequestRetried(
-            ts=now,
-            request_id=request.request_id,
-            tier=request.qos.name,
-            attempt=attempt,
-            backoff=backoff,
-            from_replica=from_replica,
-        ))
-        self._retries.labels(request.qos.name).inc()
-
-    def on_request_shed(self, request, now, alive_fraction) -> None:
-        self.recorder.emit(RequestShed(
-            ts=now,
-            request_id=request.request_id,
-            tier=request.qos.name,
-            important=request.important,
-            alive_fraction=alive_fraction,
-        ))
-        self._shed.labels(request.qos.name).inc()
-
-    def on_request_cancelled(self, replica_id, request, now, reason) -> None:
-        self.recorder.emit(RequestCancelled(
-            ts=now,
-            replica_id=replica_id,
-            request_id=request.request_id,
-            tier=request.qos.name,
-            reason=reason,
-            waited=now - request.arrival_time,
-        ))
-        self._cancellations.labels(request.qos.name, reason).inc()
-
-    def on_fault_skipped(self, replica_id, now, fault_kind, reason) -> None:
-        self.recorder.emit(FaultSkipped(
-            ts=now,
-            replica_id=replica_id,
-            fault_kind=fault_kind,
-            reason=reason,
-        ))
-        self._faults_skipped.labels(fault_kind, reason).inc()
-
-    # --- fleet hooks ------------------------------------------------------
-
-    def on_fleet_resized(
-        self, now, action, replica_id, hardware, fleet_size, reason="",
-        by_hardware=None,
-    ) -> None:
-        self.recorder.emit(FleetResized(
-            ts=now,
-            action=action,
-            replica_id=replica_id,
-            hardware=hardware,
-            fleet_size=fleet_size,
-            reason=reason,
-        ))
-        self._fleet_resizes.labels(action, hardware).inc()
-        self._fleet_size_gauge.set(fleet_size)
-        for name, count in (by_hardware or {}).items():
+    def _fleet_composition(self, event: FleetComposition) -> None:
+        for name, count in event.by_hardware:
             self._fleet_hardware_gauge.labels(hardware=name).set(count)
-
-    # --- gateway hooks ----------------------------------------------------
-
-    def on_gateway_admitted(self, request, now, queue_depth) -> None:
-        self.recorder.emit(GatewayAdmitted(
-            ts=now,
-            request_id=request.request_id,
-            tier=request.qos.name,
-            important=request.important,
-            queue_depth=queue_depth,
-        ))
-        self._gateway_admitted.labels(request.qos.name).inc()
-
-    def on_gateway_shed(self, request, now, reason, queue_depth) -> None:
-        self.recorder.emit(GatewayShed(
-            ts=now,
-            request_id=request.request_id,
-            tier=request.qos.name,
-            important=request.important,
-            reason=reason,
-            queue_depth=queue_depth,
-        ))
-        self._gateway_shed.labels(request.qos.name, reason).inc()
-
-    def on_token_streamed(self, request, now) -> None:
-        self._gateway_tokens_streamed.labels(request.qos.name).inc()
-
-    # --- span hooks -------------------------------------------------------
-
-    def on_span_start(self, name, request, now, replica_id=-1) -> None:
-        self.recorder.emit(SpanStart(
-            ts=now,
-            name=name,
-            request_id=request.request_id,
-            replica_id=replica_id,
-            tier=request.qos.name,
-        ))
-
-    def on_span_end(self, name, request, now, replica_id=-1) -> None:
-        self.recorder.emit(SpanEnd(
-            ts=now,
-            name=name,
-            request_id=request.request_id,
-            replica_id=replica_id,
-            tier=request.qos.name,
-        ))
 
     def close(self) -> None:
         self.recorder.close()
 
 
 class MultiObserver(Observer):
-    """Fan every hook out to a list of observers, in order.
+    """Fan every event out to a list of observers, in order.
 
     Lets the experiment runner chain an in-memory audit collector with
     whatever observer is already installed (e.g. the CLI's tracing
-    observer) without displacing either: both see the identical hook
+    observer) without displacing either: both see the identical event
     stream, and neither can perturb the simulation — the same
     read-only contract as any single observer.
     """
 
     def __init__(self, observers: "Iterable[Observer]") -> None:
         self.observers: tuple[Observer, ...] = tuple(observers)
-        # One fan-out per hook, built here and bound as an instance
-        # attribute, so a hook call allocates nothing.
-        for name in vars(Observer):
-            if name.startswith("on_"):
-                setattr(self, name, self._fan_out(name))
 
-    def _fan_out(self, name: str) -> Callable[..., None]:
-        hooks = tuple(getattr(observer, name) for observer in self.observers)
-
-        def fan_out(*args, **kwargs) -> None:
-            for hook in hooks:
-                hook(*args, **kwargs)
-
-        return fan_out
+    def emit(self, event: TraceEvent) -> None:
+        for observer in self.observers:
+            observer.emit(event)
 
 
 # --- process-wide default observer ------------------------------------

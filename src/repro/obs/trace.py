@@ -116,9 +116,6 @@ class TraceRecorder:
         self.sinks: list[TraceSink] = list(sinks)
         self.counts: Counter[str] = Counter()
 
-    def add_sink(self, sink: TraceSink) -> None:
-        self.sinks.append(sink)
-
     def emit(self, event: TraceEvent) -> None:
         payload = event.to_dict()
         self.counts[payload["kind"]] += 1

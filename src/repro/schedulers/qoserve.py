@@ -39,6 +39,7 @@ from repro.core.relegation import RelegationPolicy, ViolationChecker
 from repro.core.request import Request
 from repro.engine.batch import PrefillAssignment
 from repro.engine.interface import EngineView
+from repro.obs.events import Relegated
 from repro.obs.observer import Observer
 from repro.obs.timing import timed
 from repro.perfmodel.execution import ExecutionModel
@@ -173,8 +174,8 @@ class QoServeScheduler(FixedChunkScheduler):
         self._iterations_since_replan = 0
 
     def set_observer(self, observer: Observer) -> None:
-        """Propagate hooks to the chunker and relegation policy so
-        their decisions land in the same trace as the scheduler's."""
+        """Propagate the observer to the chunker and relegation policy
+        so their decisions land in the same trace as the scheduler's."""
         super().set_observer(observer)
         self.chunker.observer = observer
         self.relegation.observer = observer
@@ -256,7 +257,10 @@ class QoServeScheduler(FixedChunkScheduler):
                     victim.relegated = True
                     victim.relegated_time = now
                     self.relegation_events += 1
-                    self.observer.on_relegated(victim, now)
+                    self.observer.emit(Relegated(
+                        now, victim.request_id, victim.qos.name,
+                        victim.important, victim.remaining_prefill,
+                    ))
                 keyed = sorted(
                     ((self.priority(r, now), r) for r in self._member.values()),
                     key=lambda kr: (kr[0], kr[1].request_id),

@@ -33,6 +33,14 @@ from repro.core.relegation import ViolationChecker
 from repro.core.request import Request
 from repro.engine.replica import ReplicaEngine
 from repro.metrics.summary import RunSummary
+from repro.obs.events import (
+    GatewayAdmitted,
+    GatewayShed,
+    SpanEnd,
+    SpanStart,
+    TokenStreamed,
+)
+from repro.obs.observer import NULL_OBSERVER
 from repro.serve.admission import (
     REASON_BACKPRESSURE,
     AdmissionConfig,
@@ -184,7 +192,10 @@ class ServeGateway:
         self.stats.tokens_streamed[tier] = (
             self.stats.tokens_streamed.get(tier, 0) + 1
         )
-        self._observer.on_token_streamed(request, now)
+        if self._observer is not NULL_OBSERVER:
+            self._observer.emit(
+                TokenStreamed(now, request.request_id, tier)
+            )
         if ticket.queue is not None:
             ticket.queue.put_nowait(
                 TokenEvent(request.request_id, request.decoded, now)
@@ -194,8 +205,15 @@ class ServeGateway:
         ticket = self._tickets.get(request.request_id)
         if ticket is None or ticket.request is not request:
             return
-        self._observer.on_span_end("gateway", request, now)
+        self._emit_span(SpanEnd, "gateway", request, now)
         self._close_ticket(ticket)
+
+    def _emit_span(
+        self, cls: type[SpanStart | SpanEnd], name: str, request: Request,
+        now: float,
+    ) -> None:
+        if self._observer is not NULL_OBSERVER:
+            self._observer.emit(cls.of(name, request, now))
 
     def _close_ticket(self, ticket: _Ticket) -> None:
         if ticket.done:
@@ -223,19 +241,19 @@ class ServeGateway:
         """
         now = self.session.now
         depth = self.session.queue_depth()
-        self._observer.on_span_start("gateway", request, now)
-        self._observer.on_span_start("admission", request, now)
+        self._emit_span(SpanStart, "gateway", request, now)
+        self._emit_span(SpanStart, "admission", request, now)
         decision = self.admission.decide(
             request,
             now,
             queue_depth=depth,
             pending=self._pending_unstarted(),
         )
-        self._observer.on_span_end("admission", request, now)
+        self._emit_span(SpanEnd, "admission", request, now)
         if not decision.admitted:
             request.shed = True
             self._record_shed(request, now, decision.reason, depth)
-            self._observer.on_span_end("gateway", request, now)
+            self._emit_span(SpanEnd, "gateway", request, now)
             ticket = self._tickets.get(request.request_id)
             if ticket is not None:
                 self._close_ticket(ticket)
@@ -248,7 +266,10 @@ class ServeGateway:
             ticket.engine = engine
         tier = request.qos.name
         self.stats.admitted[tier] = self.stats.admitted.get(tier, 0) + 1
-        self._observer.on_gateway_admitted(request, now, depth)
+        if self._observer is not NULL_OBSERVER:
+            self._observer.emit(GatewayAdmitted(
+                now, request.request_id, tier, request.important, depth
+            ))
         return None
 
     def _shed_victim(
@@ -260,7 +281,7 @@ class ServeGateway:
         else:
             self.session.cancel(victim, SHED_CANCEL_REASON)
         self._record_shed(victim, now, REASON_BACKPRESSURE, depth)
-        self._observer.on_span_end("gateway", victim, now)
+        self._emit_span(SpanEnd, "gateway", victim, now)
         if ticket is not None:
             self._close_ticket(ticket)
 
@@ -270,7 +291,11 @@ class ServeGateway:
         reason = reason or "unknown"
         key = (request.qos.name, reason)
         self.stats.shed[key] = self.stats.shed.get(key, 0) + 1
-        self._observer.on_gateway_shed(request, now, reason, depth)
+        if self._observer is not NULL_OBSERVER:
+            self._observer.emit(GatewayShed(
+                now, request.request_id, request.qos.name,
+                request.important, reason, depth,
+            ))
 
     # --- offline deterministic replay --------------------------------------
 
@@ -478,7 +503,7 @@ class ServeGateway:
         depth = self.session.queue_depth()
         fills = self.admission.fill_levels(now)
         fleet = self._fleet_snapshot()
-        registry = getattr(self._observer, "registry", None)
+        registry = getattr(self.session.observer, "registry", None)
         if registry is not None:
             registry.gauge(
                 "repro_gateway_queue_depth",

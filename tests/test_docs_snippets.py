@@ -1,11 +1,19 @@
-"""The code snippets in docs/EXTENDING.md must keep working."""
+"""The code snippets in docs/EXTENDING.md and docs/OBSERVABILITY.md
+must keep working."""
 
+import copy
+import re
+from pathlib import Path
+
+from repro.api import build_trace
 from repro.core.qos import QoSClass, QoSSpec
 from repro.core.request import Request
 from repro.experiments.configs import get_execution_model
-from repro.experiments.runner import run_replica_trace
+from repro.engine.replica import ReplicaEngine
+from repro.experiments.runner import make_scheduler, run_replica_trace
 from repro.perfmodel import ExecutionModel, HardwareSpec, ModelSpec
 from repro.schedulers.base import FixedChunkScheduler
+from repro.simcore import Simulator
 from repro.workload import (
     DiurnalArrivals,
     TierAssigner,
@@ -69,3 +77,37 @@ class TestExtendingDocs:
             "ultra", QoSClass.INTERACTIVE, ttft_slo=1.0, tbt_slo=0.020
         )
         assert ultra.token_deadline(0.0, 2) == 1.02
+
+
+def _docs_block(doc: str, marker: str) -> str:
+    """The fenced Python block of ``docs/<doc>`` containing ``marker``."""
+    text = (Path(__file__).parent.parent / "docs" / doc).read_text()
+    [block] = [
+        b for b in re.findall(r"```python\n(.*?)```", text, re.S)
+        if marker in b
+    ]
+    return block
+
+
+class TestObservabilityDocs:
+    def test_eviction_logger_example(self, capsys):
+        em = copy.copy(get_execution_model())
+        em._kv_capacity_tokens = 12_000  # cramped: decodes get evicted
+        sim = Simulator()
+        namespace = {
+            "ReplicaEngine": ReplicaEngine,
+            "sim": sim,
+            "em": em,
+            "scheduler": make_scheduler("qoserve-oracle", em),
+        }
+        exec(_docs_block("OBSERVABILITY.md", "class EvictionLogger"),
+             namespace)
+        engine = namespace["engine"]
+        for request in build_trace("AzCode", qps=8.0, num_requests=60,
+                                   seed=0):
+            engine.submit(request)
+        sim.run()
+        lines = capsys.readouterr().out.splitlines()
+        assert engine.decode_evictions > 0
+        assert len(lines) == engine.decode_evictions
+        assert all("evicted" in line for line in lines)

@@ -17,9 +17,9 @@ from repro.serve import AdmissionConfig, GatewayConfig, ServeGateway
 from repro.workload.datasets import AZURE_CONV
 
 
-def _replayed_gateway(observer=None, admission=None):
+def _replayed_gateway(observer=None, admission=None, audit=False):
     session = Session(
-        ServeConfig(scheduler="fcfs"),
+        ServeConfig(scheduler="fcfs", audit=audit),
         **({"observer": observer} if observer is not None else {}),
     )
     gateway = ServeGateway(
@@ -79,6 +79,17 @@ class TestSnapshot:
                 assert row["p50"] <= row["p95"] <= row["p99"]
         assert snapshot["burn_rate"]["max"] >= 0.0
         json.dumps(snapshot)
+
+    def test_audit_keeps_caller_observer_visible(self):
+        """With ``audit`` on the engines see the caller's observer behind
+        a fan-out; ``/metrics`` and live frames must still read it."""
+        observer = TracingObserver(TraceRecorder([RingSink()]))
+        gateway = _replayed_gateway(observer=observer, audit=True)
+        assert "repro_iterations_total" in gateway.prometheus_text()
+        snapshot = build_live_snapshot(gateway)
+        assert "ttft" in snapshot["latency_quantiles"]
+        assert snapshot["burn_rate"]["max"] >= 0.0
+        assert gateway.session.summary().attribution is not None
 
     def test_flight_recorder_section(self, tmp_path):
         observer = TracingObserver(TraceRecorder([RingSink()]))

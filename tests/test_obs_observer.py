@@ -73,23 +73,6 @@ class TestTracingObserver:
         )
         assert done == summary.finished
 
-    def test_kv_snapshot_downsampling(self, execution_model):
-        sink = ListSink()
-        every = TracingObserver(recorder=TraceRecorder([ListSink()]))
-        sampled = TracingObserver(
-            recorder=TraceRecorder([sink]), kv_snapshot_every=10
-        )
-        run_engine(execution_model, observer=every)
-        _, engine = run_engine(execution_model, observer=sampled)
-        snaps = [
-            e for e in sink.events if e["kind"] == "kv_cache_snapshot"
-        ]
-        assert 0 < len(snaps) <= engine.iterations_run // 10 + 1
-
-    def test_kv_snapshot_every_validation(self):
-        with pytest.raises(ValueError):
-            TracingObserver(kv_snapshot_every=0)
-
 
 class TestDeterminism:
     def test_summary_identical_with_and_without_observer(
@@ -320,3 +303,65 @@ class TestRelegationServedEvent:
         assert served_ids <= relegated
         for event in served:
             assert event["waited"] >= 0.0
+
+
+class TestEventSeam:
+    def test_observer_has_one_method(self):
+        hooks = [name for name in vars(Observer) if not name.startswith("__")]
+        assert hooks == ["emit"]
+
+    def test_metric_only_events_feed_metrics_not_traces(self):
+        from repro.obs.events import EVENT_TYPES, PrefixMissed, TokenStreamed
+
+        sink = ListSink()
+        observer = TracingObserver(recorder=TraceRecorder([sink]))
+        observer.emit(PrefixMissed(1.0, replica_id=0, cached_tokens=64))
+        observer.emit(TokenStreamed(1.5, request_id=7, tier="Q1"))
+        assert sink.events == [] and observer.recorder.total_events == 0
+        assert PrefixMissed.kind not in EVENT_TYPES
+        text = observer.registry.to_prometheus_text()
+        assert 'repro_kv_prefix_misses_total{replica="0"} 1' in text
+        assert 'repro_kv_prefix_cached_tokens{replica="0"} 64' in text
+        assert 'repro_gateway_tokens_streamed_total{tier="Q1"} 1' in text
+
+    def test_untraced_run_builds_no_events(self, monkeypatch):
+        """Hot producers skip building events nobody reads."""
+        from repro.api import ServeConfig, Session
+        from repro.obs.events import TraceEvent
+        from repro.serve import AdmissionConfig, GatewayConfig, ServeGateway
+        from repro.workload.sessions import AGENT_PROFILE, SessionWorkload
+
+        built = []
+        classes = [TraceEvent]
+        for cls in classes:
+            classes.extend(cls.__subclasses__())
+            init = cls.__init__
+
+            def counting_init(self, *args, _init=init, **kwargs):
+                built.append(self.kind)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        trace = list(SessionWorkload(
+            AGENT_PROFILE, session_qps=0.5, seed=7
+        ).build(6))
+
+        def replay(observer=None):
+            session = Session(
+                ServeConfig(kv_reuse="radix", num_replicas=2),
+                observer=observer,
+            )
+            gateway = ServeGateway(session, config=GatewayConfig(
+                admission=AdmissionConfig(rate=1.0, burst=2.0),
+            ))
+            gateway.replay([r.clone_fresh() for r in trace])
+            return gateway
+
+        assert replay().stats.shed_total > 0
+        assert built == []
+        replay(TracingObserver())
+        assert {
+            "iteration_scheduled", "kv_cache_snapshot", "chunk_sized",
+            "span_start", "request_completed", "prefix_hit",
+            "gateway_admitted", "gateway_shed", "token_streamed",
+        } <= set(built)
