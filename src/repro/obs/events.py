@@ -484,7 +484,7 @@ class _SpanEvent(TraceEvent):
     def of(
         cls, name: str, request: "Request", now: float,
         replica_id: int = -1,
-    ):
+    ) -> "_SpanEvent":
         return cls(now, name, request.request_id, replica_id,
                    request.qos.name)
 
