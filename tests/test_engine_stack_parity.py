@@ -9,7 +9,8 @@ and traced (the array engine runs one iteration loop either way; only
 its decode stretch is off under tracing), for the disaggregated
 deployment, the three decode pools, the reactive autoscaler, the
 resilient cluster under a seeded crash/recover plan, the
-burn-rate-autoscaled heterogeneous fleet, and ``Session.cancel``
+burn-rate-autoscaled heterogeneous fleet, the busy-fraction
+one-class fleet, and ``Session.cancel``
 (including a request parked by prefill-stall recovery).
 
 Every traced scenario is also pinned across commits: the SHA-256 of
@@ -37,7 +38,10 @@ from repro.api import ServeConfig, Session, build_trace
 from repro.cluster.autoscaler import AutoscalerConfig, AutoscalingDeployment
 from repro.cluster.disagg import DisaggregatedDeployment
 from repro.cluster.fleet import (
+    DEFAULT_HARDWARE_CLASSES,
     BurnRateAutoscaler,
+    BusyFractionAutoscaler,
+    FleetConfig,
     FleetDeployment,
     parse_fleet_spec,
 )
@@ -129,6 +133,15 @@ TRACE_PINS: dict[str, tuple[str, str, frozenset[str]]] = {
             "kv_cache_snapshot", "relegated", "relegation_served",
             "request_cancelled", "request_completed", "span_end",
             "span_start"
+        }),
+    ),
+    "fleet-busy-fraction": (
+        "e73ee96f47e5fe6556378b3feb61ff03294fc7ec95dbd9a418d05b6bd226b1c5",
+        "1ea2e7ebc0b82e0fdc5570ed4a536e0c428eb0dfcceecd9d351c4b2c647eb205",
+        frozenset({
+            "chunk_sized", "fleet_resized", "iteration_scheduled",
+            "kv_cache_snapshot", "relegated", "request_cancelled",
+            "request_completed", "span_end", "span_start"
         }),
     ),
     "overload": (
@@ -407,6 +420,43 @@ class TestFleetParity:
         assert any(
             action == "provision" for _, action, _ in scaling_events
         )
+
+
+    def test_busy_fraction_one_class_fleet_identical(self):
+        """The load-following policy on a one-class pool: it
+        provisions under the burst, then drains and releases."""
+        trace = build_trace("AzCode", qps=8.0, num_requests=300, seed=3)
+        a100 = DEFAULT_HARDWARE_CLASSES[0]
+
+        def scenario():
+            fleet = FleetDeployment(
+                EXEC,
+                scheduler_factory("qoserve-oracle", EXEC),
+                FleetConfig(
+                    classes=(a100,), initial=("a100",),
+                    min_replicas=1, max_replicas=4,
+                    control_interval=20.0, provision_delay=10.0,
+                ),
+                routing="round-robin",
+                autoscaler=BusyFractionAutoscaler(),
+            )
+            requests = list(trace.fresh_copy())
+            fleet.submit_trace(requests)
+            fleet.run_until_drained(max_events=10_000_000)
+            payload = (
+                _summary_json(fleet.summarize()),
+                _outcomes(requests),
+                json.dumps(fleet.fleet_stats(), sort_keys=True),
+                list(fleet.scaling_events),
+            )
+            return payload, fleet.replicas
+
+        _, _, stats, scaling_events = assert_parity(
+            scenario, "fleet-busy-fraction"
+        )
+        actions = {action for _, action, _ in scaling_events}
+        assert {"provision", "ready", "drain", "release"} <= actions
+        assert json.loads(stats)["cancelled"] > 0
 
 
 class TestOverloadParity:
