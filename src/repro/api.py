@@ -40,7 +40,7 @@ from repro.core.qos import DEFAULT_TIERS, QoSSpec
 from repro.core.request import Request
 from repro.engine import arrays
 from repro.engine.interface import Scheduler
-from repro.engine.replica import ReplicaConfig, ReplicaEngine
+from repro.engine.replica import ReplicaConfig, ReplicaEngine, chain_hooks
 from repro.metrics.summary import RunSummary, summarize_run
 from repro.obs.metrics import DEFAULT_CHUNK_BUCKETS, bucket_counts
 from repro.obs.observer import Observer, get_default_observer
@@ -568,7 +568,7 @@ class Session:
             self.deployment.set_token_hook(hook)
             return
         for engine in self.engines:
-            engine.token_hook = _chain_hooks(engine.token_hook, hook)
+            engine.token_hook = chain_hooks(engine.token_hook, hook)
 
     def set_completion_hook(
         self, hook: Callable[[Request, float], None]
@@ -578,7 +578,7 @@ class Session:
             self.deployment.set_completion_hook(hook)
             return
         for engine in self.engines:
-            engine.completion_hook = _chain_hooks(
+            engine.completion_hook = chain_hooks(
                 engine.completion_hook, hook
             )
 
@@ -723,18 +723,6 @@ class Conversation:
         self._last_request_id = request_id
         self.turns += 1
         return request
-
-
-def _chain_hooks(existing, hook):
-    """Compose completion/token hooks without displacing earlier ones."""
-    if existing is None:
-        return hook
-
-    def chained(request, now):
-        existing(request, now)
-        hook(request, now)
-
-    return chained
 
 
 def simulate(

@@ -1,6 +1,6 @@
 """Multi-replica deployments: shared vs siloed clusters, load
-balancing, capacity planning, PD disaggregation, autoscaling and
-heterogeneous elastic fleets."""
+balancing, capacity planning, PD disaggregation and heterogeneous,
+autoscaled elastic fleets."""
 
 from repro.cluster.deployment import (
     ClusterDeployment,
@@ -19,7 +19,6 @@ from repro.cluster.decode_pool import (
     StrictSharedDecodePool,
     max_batch_for_tbt,
 )
-from repro.cluster.autoscaler import AutoscalerConfig, AutoscalingDeployment
 from repro.cluster.fleet import (
     DEFAULT_HARDWARE_CLASSES,
     BurnRateAutoscaler,
@@ -52,6 +51,4 @@ __all__ = [
     "QoSSharedDecodePool",
     "StrictSharedDecodePool",
     "max_batch_for_tbt",
-    "AutoscalerConfig",
-    "AutoscalingDeployment",
 ]

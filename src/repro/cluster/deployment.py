@@ -17,7 +17,7 @@ import numpy as np
 from repro.core.request import Request
 from repro.engine import arrays
 from repro.engine.interface import Scheduler
-from repro.engine.replica import ReplicaConfig, ReplicaEngine
+from repro.engine.replica import ReplicaConfig, ReplicaEngine, chain_hooks
 from repro.metrics.summary import RunSummary, summarize_run
 from repro.obs.events import SpanEnd, SpanStart
 from repro.obs.observer import NULL_OBSERVER
@@ -26,18 +26,6 @@ from repro.simcore.simulator import Simulator
 from repro.workload.trace import Trace
 
 SchedulerFactory = Callable[[], Scheduler]
-
-
-def _chain(existing, hook):
-    """Compose per-replica callbacks without displacing earlier ones."""
-    if existing is None:
-        return hook
-
-    def chained(request, now):
-        existing(request, now)
-        hook(request, now)
-
-    return chained
 
 #: Routing strategies for :class:`ClusterDeployment`.  The paper's
 #: deployments use round-robin ("Both deployments use round-robin load
@@ -264,7 +252,9 @@ class ClusterDeployment:
         cluster's watchdog disarm) rather than displacing it.
         """
         for replica in self.replicas:
-            replica.completion_hook = _chain(replica.completion_hook, hook)
+            replica.completion_hook = chain_hooks(
+                replica.completion_hook, hook
+            )
 
     def set_token_hook(
         self, hook: Callable[[Request, float], None]
@@ -272,7 +262,7 @@ class ClusterDeployment:
         """Fire ``hook(request, now)`` for every output token emitted
         by any replica (streaming delivery)."""
         for replica in self.replicas:
-            replica.token_hook = _chain(replica.token_hook, hook)
+            replica.token_hook = chain_hooks(replica.token_hook, hook)
 
     def next_event_time(self) -> float | None:
         """When the shared simulator fires next (None when idle)."""

@@ -15,8 +15,9 @@ isolation:
    *and* utilization is low) and picks *which* hardware to provision
    by cost per unit of bottleneck capability.
    :class:`BusyFractionAutoscaler` is the classic load-following
-   baseline (same thresholds as ``cluster.autoscaler``) so the two
-   policies can be compared on goodput per GPU-hour.
+   baseline, so the two policies can be compared on goodput per
+   GPU-hour; on a one-class fleet it is the elastic pool of
+   :mod:`repro.experiments.ext_autoscaling`.
 3. **Chaos coherence** — the fleet extends
    :class:`~repro.cluster.resilient.ResilientClusterDeployment`, so
    crashes, stragglers, retries, watchdogs and tier-aware shedding
@@ -27,21 +28,21 @@ isolation:
    resolve to ``fault_skipped`` trace events instead of raising.
 
 Determinism: all control decisions are pure functions of simulated
-time and engine state, provisioning uses ``schedule_after`` with the
-same pre-work priority as ``cluster.autoscaler``, and GPU-hours/cost
-are integrated exactly per slot — two same-seed runs produce
-byte-identical summaries (pinned in ``tests/test_cluster_fleet.py``).
+time and engine state, control ticks and provisioning fire before
+same-timestamp regular work, and GPU-hours/cost are integrated
+exactly per slot — two same-seed runs produce byte-identical
+summaries (pinned in ``tests/test_cluster_fleet.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cluster.deployment import SchedulerFactory, _chain
+from repro.cluster.deployment import SchedulerFactory
 from repro.cluster.resilient import ResilientClusterDeployment
 from repro.core.request import Request
 from repro.engine import arrays
-from repro.engine.replica import ReplicaConfig, ReplicaEngine
+from repro.engine.replica import ReplicaConfig, ReplicaEngine, chain_hooks
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import ResilienceConfig
 from repro.obs.events import FaultSkipped, FleetComposition, FleetResized
@@ -51,8 +52,23 @@ from repro.perfmodel.hardware import A100_80GB, H100_80GB, HardwareSpec
 from repro.simcore.simulator import Simulator
 
 #: Control ticks and provisioning fire before same-timestamp regular
-#: work, matching ``cluster.autoscaler``.
+#: work.
 CONTROL_PRIORITY = -1
+
+#: Mean busy fraction at or above which busy-fraction scales up.
+SCALE_UP_UTILIZATION = 0.85
+#: Mean busy fraction at or below which either policy may drain.
+SCALE_DOWN_UTILIZATION = 0.45
+#: Burn rate at or above which burn-rate scales up: budget spent at
+#: twice the sustainable rate.
+BURN_HOT = 2.0
+#: Burn rate at or below which burn-rate may drain: spending budget at
+#: exactly the sustainable rate is, by definition, affordable.
+BURN_COLD = 1.0
+#: Width in virtual seconds of the fleet's burn-rate windows.
+BURN_WINDOW = 60.0
+#: Allowed violation fraction (the paper's 1% goodput bar).
+SLO_BUDGET = 0.01
 
 
 @dataclass(frozen=True)
@@ -100,7 +116,6 @@ class FleetConfig:
         control_interval: Seconds between autoscaler decisions.
         provision_delay: Cold-start seconds before a newly bought
             replica serves (VM allocation + weight loading).
-        max_step_up: Replicas added per control decision at most.
     """
 
     classes: tuple[HardwareClass, ...]
@@ -109,7 +124,6 @@ class FleetConfig:
     max_replicas: int = 8
     control_interval: float = 30.0
     provision_delay: float = 60.0
-    max_step_up: int = 2
 
     def __post_init__(self) -> None:
         if not self.classes:
@@ -156,7 +170,6 @@ def parse_fleet_spec(
     max_replicas: int = 8,
     control_interval: float = 30.0,
     provision_delay: float = 60.0,
-    max_step_up: int = 2,
 ) -> FleetConfig:
     """Parse ``"a100:2,h100:1"`` into a :class:`FleetConfig`.
 
@@ -196,35 +209,22 @@ def parse_fleet_spec(
         max_replicas=max(max_replicas, len(initial)),
         control_interval=control_interval,
         provision_delay=provision_delay,
-        max_step_up=max_step_up,
     )
 
 
 class BusyFractionAutoscaler:
     """Classic load-following policy: scale on mean busy fraction.
 
-    The decision thresholds mirror
-    :class:`~repro.cluster.autoscaler.AutoscalerConfig`; hardware
-    choice is pure cost efficiency (cheapest compute capability).
+    Up at :data:`SCALE_UP_UTILIZATION`, down at
+    :data:`SCALE_DOWN_UTILIZATION`; hardware choice is pure cost
+    efficiency (cheapest compute capability).
     """
-
-    def __init__(
-        self,
-        scale_up_threshold: float = 0.85,
-        scale_down_threshold: float = 0.45,
-    ) -> None:
-        if not 0 < scale_down_threshold < scale_up_threshold <= 1:
-            raise ValueError(
-                "need 0 < scale_down_threshold < scale_up_threshold <= 1"
-            )
-        self.scale_up_threshold = scale_up_threshold
-        self.scale_down_threshold = scale_down_threshold
 
     def decide(self, fleet: "FleetDeployment", now: float) -> int:
         utilization = fleet.last_mean_utilization
-        if utilization >= self.scale_up_threshold:
+        if utilization >= SCALE_UP_UTILIZATION:
             return 1
-        if utilization <= self.scale_down_threshold:
+        if utilization <= SCALE_DOWN_UTILIZATION:
             return -1
         return 0
 
@@ -235,16 +235,15 @@ class BusyFractionAutoscaler:
 class BurnRateAutoscaler:
     """Error-budget-driven policy: capacity follows the SLO burn rate.
 
-    Scale **up** when the recent burn rate (violation rate over the
-    SLO budget, from the fleet's own
+    Scale **up** when the last window's burn rate (violation rate over
+    the SLO budget, from the fleet's own
     :class:`~repro.obs.sketch.BurnRateTracker`) is at or above
-    ``burn_hot`` — the budget is being spent faster than allowed, so
-    waiting for utilization to saturate would ship the violations
-    first.  Scale **down** only when burn is at or below ``burn_cold``
-    *and* mean utilization is at or below ``scale_down_utilization``:
-    cold burn alone can mean the fleet is merely keeping up.  The
-    default ``burn_cold`` of 1.0 is the SRE framing — spending budget
-    at exactly the sustainable rate is, by definition, affordable.
+    :data:`BURN_HOT` — the budget is being spent faster than allowed,
+    so waiting for utilization to saturate would ship the violations
+    first.  Scale **down** only when burn is at or below
+    :data:`BURN_COLD` *and* mean utilization is at or below
+    :data:`SCALE_DOWN_UTILIZATION`: cold burn alone can mean the fleet
+    is merely keeping up.
 
     Hardware choice follows the violation mix: mostly-interactive
     violations are TTFT misses (prefill, compute-bound), so provision
@@ -252,37 +251,16 @@ class BurnRateAutoscaler:
     (decode, memory-bound) and the best cost-per-bandwidth class wins.
     """
 
-    def __init__(
-        self,
-        burn_hot: float = 2.0,
-        burn_cold: float = 1.0,
-        scale_down_utilization: float = 0.45,
-        lookback_windows: int = 1,
-    ) -> None:
-        if not 0 <= burn_cold < burn_hot:
-            raise ValueError("need 0 <= burn_cold < burn_hot")
-        if not 0 < scale_down_utilization <= 1:
-            raise ValueError("need 0 < scale_down_utilization <= 1")
-        if lookback_windows < 1:
-            raise ValueError("lookback_windows must be >= 1")
-        self.burn_hot = burn_hot
-        self.burn_cold = burn_cold
-        self.scale_down_utilization = scale_down_utilization
-        self.lookback_windows = lookback_windows
-
     def decide(self, fleet: "FleetDeployment", now: float) -> int:
         # Buy on *capacity* evidence (completion violations under the
         # current fleet size); hold on *total* burn — never drain
         # while the budget is being spent for any reason, including
         # degradation sheds that procurement cannot fix.
-        if fleet.capacity_burn_rate(now, self.lookback_windows) >= (
-            self.burn_hot
-        ):
+        if fleet.capacity_burn_rate(now, 1) >= BURN_HOT:
             return 1
         if (
-            fleet.recent_burn_rate(now, self.lookback_windows)
-            <= self.burn_cold
-            and fleet.last_mean_utilization <= self.scale_down_utilization
+            fleet.recent_burn_rate(now, 1) <= BURN_COLD
+            and fleet.last_mean_utilization <= SCALE_DOWN_UTILIZATION
         ):
             return -1
         return 0
@@ -344,8 +322,6 @@ class FleetDeployment(ResilientClusterDeployment):
         fault_plan: FaultPlan | None = None,
         resilience: ResilienceConfig | None = None,
         autoscaler: object | None = None,
-        burn_window: float = 60.0,
-        slo_budget: float = 0.01,
         observer=None,
     ) -> None:
         self.fleet = fleet
@@ -389,9 +365,9 @@ class FleetDeployment(ResilientClusterDeployment):
         #: resilience layer's spend (admission control while degraded,
         #: ending with recovery), and buying replicas cannot shorten
         #: an MTTR — so procurement reacts to capacity evidence alone.
-        self.burn = BurnRateTracker(window=burn_window, slo_budget=slo_budget)
+        self.burn = BurnRateTracker(window=BURN_WINDOW, slo_budget=SLO_BUDGET)
         self.capacity_burn = BurnRateTracker(
-            window=burn_window, slo_budget=slo_budget
+            window=BURN_WINDOW, slo_budget=SLO_BUDGET
         )
         self._violations_interactive = 0
         self._violations_batch = 0
@@ -652,7 +628,7 @@ class FleetDeployment(ResilientClusterDeployment):
             # Capacity is already on the way: re-reacting to the same
             # hot signal every tick of the provision delay would
             # overshoot far past the needed fleet size.
-            self._scale_up(min(delta, self.fleet.max_step_up), now)
+            self._scale_up(delta, now)
         elif delta < 0:
             self._scale_down(now)
         self._violations_interactive = 0
@@ -725,9 +701,11 @@ class FleetDeployment(ResilientClusterDeployment):
         )
         engine.completion_hook = self._on_request_complete
         for hook in self._late_completion_hooks:
-            engine.completion_hook = _chain(engine.completion_hook, hook)
+            engine.completion_hook = chain_hooks(
+                engine.completion_hook, hook
+            )
         for hook in self._late_token_hooks:
-            engine.token_hook = _chain(engine.token_hook, hook)
+            engine.token_hook = chain_hooks(engine.token_hook, hook)
         self.replicas.append(engine)
         self._slots.append(
             _FleetSlot(engine=engine, hw_class=cls, provisioned_at=now)

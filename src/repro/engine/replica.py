@@ -48,6 +48,19 @@ from repro.perfmodel.execution import BatchShape, ExecutionModel
 from repro.simcore.simulator import Simulator
 
 
+def chain_hooks(existing, hook):
+    """Compose ``(request, now)`` completion/token hooks without
+    displacing earlier ones."""
+    if existing is None:
+        return hook
+
+    def chained(request, now):
+        existing(request, now)
+        hook(request, now)
+
+    return chained
+
+
 @dataclass(frozen=True)
 class ReplicaConfig:
     """Engine knobs.

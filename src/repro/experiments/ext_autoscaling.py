@@ -8,9 +8,10 @@ served three ways, all with QoServe replicas:
   practice); lowest violations, highest GPU-hours.
 * **static-mean** — replicas for the mean rate; cheaper, but every
   burst rides on queueing.
-* **autoscaled** — the reactive controller of
-  :mod:`repro.cluster.autoscaler`, paying a cold-start delay on every
-  scale-up.
+* **autoscaled** — a one-class :class:`~repro.cluster.fleet.FleetDeployment`
+  under the load-following
+  :class:`~repro.cluster.fleet.BusyFractionAutoscaler`, paying a
+  cold-start delay on every scale-up.
 
 Reported per deployment: GPU-hours consumed, violation percentages,
 and the p99 of Q1.  The interesting shape: autoscaling approaches
@@ -23,11 +24,17 @@ from __future__ import annotations
 
 import math
 
-from repro.cluster.autoscaler import AutoscalerConfig, AutoscalingDeployment
 from repro.cluster.deployment import ClusterDeployment
+from repro.cluster.fleet import (
+    BusyFractionAutoscaler,
+    FleetConfig,
+    FleetDeployment,
+    HardwareClass,
+)
 from repro.experiments.configs import BENCH, Scale, get_execution_model
 from repro.experiments.result import ExperimentResult
 from repro.experiments.runner import scheduler_factory
+from repro.faults.policy import ResilienceConfig
 from repro.workload.arrivals import DiurnalArrivals
 from repro.workload.datasets import AZURE_CODE
 from repro.workload.tiers import TierAssigner
@@ -66,15 +73,20 @@ def _static_run(execution_model, trace, replicas: int):
     return summary, gpu_hours
 
 
-def _autoscaled_run(execution_model, trace, config: AutoscalerConfig):
-    deployment = AutoscalingDeployment(
+def _autoscaled_run(execution_model, trace, config: FleetConfig):
+    # Round-robin and no abandonment keep the pool like-for-like with
+    # the static ClusterDeployment arms.
+    fleet = FleetDeployment(
         execution_model,
         scheduler_factory("qoserve", execution_model),
-        config=config,
+        config,
+        routing="round-robin",
+        resilience=ResilienceConfig(abandonment_factor=None),
+        autoscaler=BusyFractionAutoscaler(),
     )
-    deployment.submit_trace(trace)
-    deployment.run_until_drained()
-    return deployment.summarize(), deployment.gpu_hours, deployment
+    fleet.submit_trace(trace)
+    fleet.run_until_drained()
+    return fleet.summarize(), fleet.gpu_hours, fleet
 
 
 def run(
@@ -89,8 +101,19 @@ def run(
     mean_replicas = math.ceil(
         0.5 * (LOW_QPS + HIGH_QPS) / PER_REPLICA_GOODPUT
     )
-    autoscaler = AutoscalerConfig(
-        min_replicas=max(1, mean_replicas - 1),
+    # One hardware class: the static arms' own deployment.  A
+    # multi-class catalog would let busy-fraction buy the cheapest
+    # FLOPs instead.
+    pool = HardwareClass(
+        deployment_name,
+        execution_model.hardware,
+        tp_degree=execution_model.tp_degree,
+    )
+    min_replicas = max(1, mean_replicas - 1)
+    elastic = FleetConfig(
+        classes=(pool,),
+        initial=(pool.name,) * min_replicas,
+        min_replicas=min_replicas,
         max_replicas=peak_replicas,
         control_interval=45.0,
         provision_delay=120.0,
@@ -102,7 +125,7 @@ def run(
         notes=[
             f"scale={scale.label}; QPS {LOW_QPS}<->{HIGH_QPS}; "
             f"QoServe replicas; cold start "
-            f"{autoscaler.provision_delay:.0f}s",
+            f"{elastic.provision_delay:.0f}s",
         ],
     )
 
@@ -119,11 +142,11 @@ def run(
                             summary))
 
     summary, gpu_hours, scaled = _autoscaled_run(
-        execution_model, trace.fresh_copy(), autoscaler
+        execution_model, trace.fresh_copy(), elastic
     )
     row = _row(
         "autoscaled",
-        f"{autoscaler.min_replicas}-{autoscaler.max_replicas}",
+        f"{elastic.min_replicas}-{elastic.max_replicas}",
         gpu_hours,
         summary,
     )

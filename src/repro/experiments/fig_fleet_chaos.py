@@ -175,7 +175,6 @@ def run(
             max_replicas=max_replicas,
             control_interval=phase / 8.0,
             provision_delay=phase / 4.0,
-            max_step_up=2,
         )
 
     static = fleet_config(("a100",) * static_replicas)

@@ -223,39 +223,14 @@ class TestPathErrorShape:
             assert prefix in capsys.readouterr().err
 
 
-class TestHiddenAliases:
-    """Legacy underscore spellings still parse but stay out of --help."""
-
-    def test_underscore_spellings_parse(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["run", "fig04", "--trace_out", "t.jsonl",
-             "--metrics_out", "m.prom", "--fault_plan", "f.json",
-             "--cache_dir", "c", "--log_y"]
-        )
-        assert str(args.trace_out) == "t.jsonl"
-        assert str(args.metrics_out) == "m.prom"
-        assert str(args.fault_plan) == "f.json"
-        assert str(args.cache_dir) == "c"
-        assert args.log_y is True
-        args = parser.parse_args(
-            ["dashboard", "t.jsonl", "--slo_budget", "0.05",
-             "--no_validate"]
-        )
-        assert args.slo_budget == 0.05
-        assert args.no_validate is True
-        args = parser.parse_args(
-            ["faults", "validate", "p.json", "--num_replicas", "3"]
-        )
-        assert args.num_replicas == 3
-
-    def test_aliases_hidden_from_help(self, capsys):
-        for command in ("run", "serve", "dashboard"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args([command, "--help"])
-            text = capsys.readouterr().out
-            assert "--trace_out" not in text
-            assert "_out" not in text.replace("summary_out", "")
+class TestFlagSpelling:
+    def test_underscore_spelling_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["run", "fig04", "--trace_out", "t.jsonl"]
+            )
+        assert exc.value.code == 2
+        assert "--trace_out" in capsys.readouterr().err
 
 
 class TestServeParser:
@@ -283,18 +258,6 @@ class TestServeParser:
             parser.parse_args(["serve", "--speed", "0"])
         with pytest.raises(SystemExit):
             parser.parse_args(["serve", "--speed", "fast"])
-
-    def test_serve_underscore_aliases(self):
-        args = build_parser().parse_args(
-            ["serve", "--num_replicas", "2", "--chunk_size", "512",
-             "--max_queue_depth", "4", "--summary_out", "s.json",
-             "--tier_rate", "Q1=3"]
-        )
-        assert args.num_replicas == 2
-        assert args.chunk_size == 512
-        assert args.max_queue_depth == 4
-        assert str(args.summary_out) == "s.json"
-        assert args.tier_rate == ["Q1=3"]
 
 
 class TestServeCommand:
@@ -394,17 +357,6 @@ class TestTopParser:
                 ["trace", "t.jsonl", "--spans", "s.json",
                  "--spans-format", "protobuf"]
             )
-
-    def test_observability_underscore_aliases(self):
-        args = build_parser().parse_args(
-            ["serve", "--incidents_out", "i.jsonl"]
-        )
-        assert str(args.incidents_out) == "i.jsonl"
-        args = build_parser().parse_args(
-            ["trace", "t.jsonl", "--spans", "s.json",
-             "--spans_format", "chrome"]
-        )
-        assert args.spans_format == "chrome"
 
 
 class TestFlightRecorderCLI:

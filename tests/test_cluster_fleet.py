@@ -6,7 +6,9 @@ Covers ROADMAP item 5's three composed layers:
   ``power-of-two`` produce byte-identical summaries across repeated
   runs while replicas crash, recover and drain mid-trace;
 * burn-rate vs busy-fraction autoscaling behaviour (scale-up under
-  sustained overload, drain under sustained idleness, hysteresis);
+  sustained overload, drain under sustained idleness, hysteresis),
+  and busy-fraction as a one-class elastic pool (cold-start delay,
+  the ``max_replicas`` bound, every request completing);
 * fault coherence — faults aimed at unprovisioned/drained/released
   slots are skipped no-ops, arm-time validation still rejects targets
   outside the pool *bound*, and the pool bound ignores crashed
@@ -67,6 +69,29 @@ def _fleet(config=None, autoscaler=None, plan=None, routing="perf-aware"):
         resilience=ResilienceConfig(shed_free_below=0.5),
         autoscaler=autoscaler,
     )
+
+
+def _busy_fraction_pool(max_replicas, control_interval, provision_delay):
+    """Busy-fraction on a one-class, round-robin pool with abandonment
+    off: the elastic arm of ``ext-autoscaling``."""
+    return FleetDeployment(
+        EXEC,
+        scheduler_factory("qoserve-oracle", EXEC),
+        FleetConfig(
+            classes=(DEFAULT_HARDWARE_CLASSES[0],),
+            initial=("a100",),
+            max_replicas=max_replicas,
+            control_interval=control_interval,
+            provision_delay=provision_delay,
+        ),
+        routing="round-robin",
+        resilience=ResilienceConfig(abandonment_factor=None),
+        autoscaler=BusyFractionAutoscaler(),
+    )
+
+
+def _azcode(n, qps):
+    return build_trace("AzCode", qps=qps, num_requests=n, seed=3)
 
 
 def _summary_bytes(fleet):
@@ -200,6 +225,54 @@ class TestAutoscaling:
         fleet.run_until_drained(max_events=10_000_000)
         assert fleet.fleet_size == 2
 
+    def test_completes_every_request(self):
+        fleet = _busy_fraction_pool(4, 30.0, 60.0)
+        requests = list(_azcode(150, 3.0))
+        fleet.submit_trace(requests)
+        fleet.run_until_drained(max_events=10_000_000)
+        assert all(r.is_finished and not r.cancelled for r in requests)
+
+    def test_scales_up_under_overload(self):
+        fleet = _busy_fraction_pool(4, 20.0, 10.0)
+        fleet.submit_trace(_azcode(500, 8.0))  # far beyond one
+        fleet.run_until_drained(max_events=10_000_000)
+        assert any(
+            action == "ready" and size > 1
+            for _, action, size in fleet.scaling_events
+        )
+        assert len(fleet.replicas) > 1
+
+    def test_never_exceeds_max_replicas(self):
+        fleet = _busy_fraction_pool(2, 15.0, 5.0)
+        fleet.submit_trace(_azcode(400, 10.0))
+        fleet.run_until_drained(max_events=10_000_000)
+        assert max(size for _, _, size in fleet.scaling_events) == 2
+
+    def test_provision_delay_observed(self):
+        fleet = _busy_fraction_pool(3, 10.0, 100.0)
+        fleet.submit_trace(_azcode(300, 8.0))
+        fleet.simulator.run(until=50.0)
+        # A replica was bought at the first tick but is still cold.
+        assert fleet.scaling_events == [(10.0, "provision", 1)]
+        assert fleet.active_replicas == 1
+        fleet.run_until_drained(max_events=10_000_000)
+        assert fleet.scaling_events[1] == (110.0, "ready", 2)
+
+    def test_released_replicas_stop_costing(self):
+        fleet = _busy_fraction_pool(4, 15.0, 5.0)
+        fleet.submit_trace(_azcode(400, 8.0))
+        end = fleet.run_until_drained(max_events=10_000_000)
+        released = sum(s.released for s in fleet._slots)
+        assert released > 0
+        hours = fleet.gpu_hours
+        assert 0 < hours < len(fleet._slots) * end / 3600.0
+        # An idle hour later only the replicas still held have cost.
+        fleet.simulator.schedule(end + 3600.0, lambda: None)
+        fleet.simulator.run()
+        assert fleet.gpu_hours - hours == pytest.approx(
+            len(fleet._slots) - released
+        )
+
 
 class TestChaosCoherence:
     def test_fault_on_unprovisioned_slot_is_skipped(self):
@@ -291,6 +364,17 @@ class TestParseFleetSpec:
     def test_rejects_malformed_specs(self, spec):
         with pytest.raises(ValueError):
             parse_fleet_spec(spec)
+
+    @pytest.mark.parametrize("bad", [
+        dict(min_replicas=0),
+        dict(min_replicas=5, max_replicas=2),
+        dict(initial=("a100",) * 7),
+        dict(control_interval=0.0),
+        dict(provision_delay=-1.0),
+    ])
+    def test_config_validation(self, bad):
+        with pytest.raises(ValueError):
+            _config(**bad)
 
     def test_duplicate_class_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

@@ -514,7 +514,6 @@ class TestEngineSwitch:
             SiloedDeployment,
             SiloSpec,
         )
-        from repro.cluster.autoscaler import AutoscalingDeployment
         from repro.cluster.fleet import FleetDeployment, parse_fleet_spec
         from repro.cluster.resilient import ResilientClusterDeployment
         from repro.experiments.ext_qos_decode import make_pool
@@ -539,12 +538,6 @@ class TestEngineSwitch:
                 execution_model, factory, parse_fleet_spec("a100:2,h100:1")
             ).replicas,
             *DisaggregatedDeployment(execution_model, factory).replicas,
-            *(
-                slot.engine
-                for slot in AutoscalingDeployment(
-                    execution_model, factory
-                )._slots
-            ),
         ]
         for mode in ("strict-shared", "qos-shared"):
             replicas += make_pool(
@@ -557,7 +550,7 @@ class TestEngineSwitch:
             ).groups.values()
             for r in group.replicas
         ]
-        assert len(replicas) == 17
+        assert len(replicas) == 16
         assert {type(r) for r in replicas} == {ArrayReplicaEngine}
 
     def test_session_summary_parity(self):

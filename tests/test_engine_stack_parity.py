@@ -7,7 +7,7 @@ and pin byte-identical ``RunSummary`` JSON, per-request outcomes and
 trace-event checksums against the production array engine, untraced
 and traced (the array engine runs one iteration loop either way; only
 its decode stretch is off under tracing), for the disaggregated
-deployment, the three decode pools, the reactive autoscaler, the
+deployment, the three decode pools, the
 resilient cluster under a seeded crash/recover plan, the
 burn-rate-autoscaled heterogeneous fleet, the busy-fraction
 one-class fleet, and ``Session.cancel``
@@ -35,7 +35,6 @@ import numpy as np
 import pytest
 
 from repro.api import ServeConfig, Session, build_trace
-from repro.cluster.autoscaler import AutoscalerConfig, AutoscalingDeployment
 from repro.cluster.disagg import DisaggregatedDeployment
 from repro.cluster.fleet import (
     DEFAULT_HARDWARE_CLASSES,
@@ -104,15 +103,6 @@ TRACE_PINS: dict[str, tuple[str, str, frozenset[str]]] = {
         frozenset({
             "iteration_scheduled", "kv_cache_snapshot", "request_completed",
             "span_end"
-        }),
-    ),
-    "autoscaler": (
-        "83ea9322e039c66f285372404cbcc17282834f9628f47fe98b073414e5f996e0",
-        "aeceee083b6c4b889b7b61d7bc46b2fdb5bdaa1b373b2d1d66249a793d7424c2",
-        frozenset({
-            "chunk_sized", "iteration_scheduled", "kv_cache_snapshot",
-            "relegated", "relegation_served", "request_completed",
-            "span_end", "span_start"
         }),
     ),
     "resilient": (
@@ -321,34 +311,6 @@ class TestDecodePoolParity:
         assert all(o[3] is not None for o in outcomes)
         # Enough load that admissions queued for a decode slot.
         assert max_wait > 0.5
-
-
-class TestAutoscalerParity:
-    def test_scaling_run_identical(self):
-        trace = build_trace("AzCode", qps=8.0, num_requests=300, seed=3)
-
-        def scenario():
-            deployment = AutoscalingDeployment(
-                EXEC,
-                scheduler_factory("qoserve-oracle", EXEC),
-                config=AutoscalerConfig(
-                    min_replicas=1, max_replicas=4,
-                    control_interval=20.0, provision_delay=10.0,
-                ),
-            )
-            requests = list(trace.fresh_copy())
-            deployment.submit_trace(requests)
-            deployment.run_until_drained()
-            payload = (
-                _summary_json(deployment.summarize()),
-                _outcomes(requests),
-                list(deployment.scaling_events),
-                deployment.gpu_hours,
-            )
-            return payload, [slot.engine for slot in deployment._slots]
-
-        _, _, scaling_events, _ = assert_parity(scenario, "autoscaler")
-        assert any(count > 1 for _, count in scaling_events)
 
 
 class TestResilientParity:
