@@ -231,6 +231,48 @@ class TestFlagSpelling:
             )
         assert exc.value.code == 2
         assert "--trace_out" in capsys.readouterr().err
+        for argv in (
+            ["run", "fig04", "--metrics_out", "m.prom"],
+            ["run", "fig04", "--fault_plan", "f.json"],
+            ["run", "fig04", "--cache_dir", "c"],
+            ["run", "fig04", "--log_y"],
+            ["dashboard", "t.jsonl", "--slo_budget", "0.05"],
+            ["dashboard", "t.jsonl", "--no_validate"],
+            ["faults", "validate", "p.json", "--num_replicas", "3"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
+
+    def test_help_shows_only_hyphen_spellings(self, capsys):
+        for command in ("run", "serve", "dashboard"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--help"])
+            text = capsys.readouterr().out
+            assert "--trace_out" not in text
+            assert "_out" not in text.replace("summary_out", "")
+
+    def test_serve_underscore_spelling_is_a_usage_error(self):
+        for argv in (
+            ["serve", "--num_replicas", "2"],
+            ["serve", "--chunk_size", "512"],
+            ["serve", "--max_queue_depth", "4"],
+            ["serve", "--summary_out", "s.json"],
+            ["serve", "--tier_rate", "Q1=3"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
+
+    def test_observability_underscore_spelling_is_a_usage_error(self):
+        for argv in (
+            ["serve", "--incidents_out", "i.jsonl"],
+            ["trace", "t.jsonl", "--spans", "s.json",
+             "--spans_format", "chrome"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
 
 
 class TestServeParser:

@@ -35,6 +35,10 @@ from repro.faults.plan import FaultPlan, ReplicaCrash
 from repro.faults.policy import ResilienceConfig
 from repro.metrics import summary_to_dict
 from repro.perfmodel.hardware import A100_80GB
+from repro.workload.arrivals import burst_schedule
+from repro.workload.datasets import AZURE_CODE
+from repro.workload.tiers import TierAssigner
+from repro.workload.trace import TraceBuilder
 
 EXEC = get_execution_model("llama3-8b")
 
@@ -257,6 +261,32 @@ class TestAutoscaling:
         assert fleet.active_replicas == 1
         fleet.run_until_drained(max_events=10_000_000)
         assert fleet.scaling_events[1] == (110.0, "ready", 2)
+
+    def test_scales_down_when_idle(self):
+        # A one-minute burst, then the pool has nothing left to serve.
+        trace = TraceBuilder(
+            AZURE_CODE,
+            arrivals=burst_schedule(
+                base_qps=0.2, burst_qps=8.0, burst_start=0.0,
+                burst_duration=60.0,
+            ),
+            tier_assigner=TierAssigner(),
+            seed=3,
+        ).build(400)
+        fleet = _busy_fraction_pool(4, 20.0, 5.0)
+        fleet.submit_trace(trace)
+        fleet.run_until_drained(max_events=10_000_000)
+        peak = max(size for _, _, size in fleet.scaling_events)
+        assert peak > 1
+        assert fleet.active_replicas < peak
+
+    def test_gpu_hours_positive_and_bounded(self):
+        fleet = _busy_fraction_pool(3, 20.0, 10.0)
+        fleet.submit_trace(_azcode(200, 4.0))
+        end = fleet.run_until_drained(max_events=10_000_000)
+        hours = fleet.gpu_hours
+        assert hours > 0
+        assert hours <= 3 * end / 3600.0 + 1e-6
 
     def test_released_replicas_stop_costing(self):
         fleet = _busy_fraction_pool(4, 15.0, 5.0)
